@@ -10,8 +10,9 @@ test:
 
 # check is the full verification gate: vet, the full test suite, a
 # race-detector pass (the parallel trainer shares one agent across
-# goroutines), and a single-iteration smoke run of the contention
-# benchmarks.
+# goroutines), a few seconds of fuzzing, and a single-iteration smoke run
+# of the contention benchmarks. It also prints scripts/loc.sh, the
+# non-test line count simplicity PRs are measured by.
 check:
 	./scripts/check.sh
 

@@ -21,6 +21,7 @@ import (
 	"cdbtune/internal/core"
 	"cdbtune/internal/env"
 	"cdbtune/internal/knobs"
+	"cdbtune/internal/nn"
 	"cdbtune/internal/simdb"
 	"cdbtune/internal/workload"
 )
@@ -238,7 +239,7 @@ func cmdTrain(args []string) error {
 	}
 	// Atomic write: a crash mid-save must never leave a truncated model
 	// where a good one stood.
-	if err := core.WriteAtomic(*model, tuner.Save); err != nil {
+	if err := nn.WriteAtomic(*model, tuner.Save); err != nil {
 		return err
 	}
 	fmt.Printf("model written to %s\n", *model)

@@ -13,13 +13,6 @@ import (
 	"cdbtune/internal/vfs"
 )
 
-// WriteAtomic writes a file atomically and durably (temp file + fsync +
-// rename + directory fsync). It is nn.WriteAtomic re-exported under the
-// name the training stack has always used.
-func WriteAtomic(path string, write func(io.Writer) error) error {
-	return nn.WriteAtomic(path, write)
-}
-
 // WriteFramed writes payload to w followed by the 8-byte integrity footer
 // (4 magic bytes + the little-endian IEEE CRC32 of the payload) that
 // checkpoints and registry entries end with. ReadFramed verifies and

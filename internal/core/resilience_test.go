@@ -12,6 +12,7 @@ import (
 	"cdbtune/internal/chaos"
 	"cdbtune/internal/env"
 	"cdbtune/internal/knobs"
+	"cdbtune/internal/nn"
 	"cdbtune/internal/simdb"
 	"cdbtune/internal/workload"
 )
@@ -169,6 +170,9 @@ func TestCheckpointResumeMatchesUnkilled(t *testing.T) {
 	}
 }
 
+// TestWriteAtomic pins the atomic-write contract model and checkpoint
+// saves rely on (nn.WriteAtomic; this package's checkpoints go through the
+// same helper over an explicit filesystem).
 func TestWriteAtomic(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "model.bin")
 	if err := os.WriteFile(path, []byte("good"), 0o644); err != nil {
@@ -176,7 +180,7 @@ func TestWriteAtomic(t *testing.T) {
 	}
 	// A failing writer must leave the original intact and no temp litter.
 	boom := errors.New("boom")
-	err := WriteAtomic(path, func(io.Writer) error { return boom })
+	err := nn.WriteAtomic(path, func(io.Writer) error { return boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
@@ -192,7 +196,7 @@ func TestWriteAtomic(t *testing.T) {
 		t.Fatalf("temp file left behind: %v", entries)
 	}
 	// A successful writer replaces the content.
-	if err := WriteAtomic(path, func(w io.Writer) error {
+	if err := nn.WriteAtomic(path, func(w io.Writer) error {
 		_, err := w.Write([]byte("new"))
 		return err
 	}); err != nil {

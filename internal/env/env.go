@@ -48,12 +48,11 @@ type Database interface {
 	Runs() int
 }
 
-// compile-time check: both simulated engine families satisfy the
-// extracted surface.
+// compile-time check: the instance shell every engine family shares
+// satisfies the extracted surface and banks write stalls.
 var (
 	_ Database = (*simdb.DB)(nil)
-	_ Database = (*lsm.DB)(nil)
-	_ Staller  = (*lsm.DB)(nil)
+	_ Staller  = (*simdb.DB)(nil)
 )
 
 // OpenEngine constructs a database of the requested engine family on the

@@ -8,8 +8,9 @@ import (
 
 // FormatConfig renders actual knob values (aligned with the catalog) as a
 // configuration file in the engine's native syntax: a my.cnf [mysqld]
-// section for MySQL/CDB, YAML-ish setParameter lines for MongoDB, and
-// postgresql.conf assignments for Postgres. Only values that differ from
+// section for MySQL/CDB, YAML-ish setParameter lines for MongoDB,
+// postgresql.conf assignments for Postgres, and an OPTIONS-file
+// [DBOptions] section for the LSM engine. Only values that differ from
 // the knob defaults are emitted, sorted by name; changedOnly=false emits
 // everything.
 func FormatConfig(c *Catalog, values []float64, changedOnly bool) (string, error) {
@@ -30,25 +31,23 @@ func FormatConfig(c *Catalog, values []float64, changedOnly bool) (string, error
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 
-	var b strings.Builder
+	header, line := "", "%s = %s\n"
 	switch c.Engine {
 	case EngineCDB, EngineLocalMySQL:
-		b.WriteString("[mysqld]\n")
-		for _, e := range out {
-			fmt.Fprintf(&b, "%s = %s\n", e.name, formatValue(e.value, e.typ))
-		}
+		header = "[mysqld]\n"
 	case EngineMongoDB:
-		b.WriteString("setParameter:\n")
-		for _, e := range out {
-			fmt.Fprintf(&b, "  %s: %s\n", e.name, formatValue(e.value, e.typ))
-		}
+		header, line = "setParameter:\n", "  %s: %s\n"
 	case EnginePostgres:
-		b.WriteString("# postgresql.conf\n")
-		for _, e := range out {
-			fmt.Fprintf(&b, "%s = %s\n", e.name, formatValue(e.value, e.typ))
-		}
+		header = "# postgresql.conf\n"
+	case EngineLSM:
+		header = "[DBOptions]\n"
 	default:
 		return "", fmt.Errorf("knobs: FormatConfig: unknown engine %v", c.Engine)
+	}
+	var b strings.Builder
+	b.WriteString(header)
+	for _, e := range out {
+		fmt.Fprintf(&b, line, e.name, formatValue(e.value, e.typ))
 	}
 	return b.String(), nil
 }

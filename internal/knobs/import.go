@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -47,6 +48,9 @@ func ParseConfig(c *Catalog, r io.Reader, ramGB, diskGB float64) (values []float
 			continue
 		}
 		f, err := strconv.ParseFloat(val, 64)
+		if err == nil && math.IsNaN(f) {
+			err = strconv.ErrSyntax
+		}
 		if err != nil {
 			return nil, nil, fmt.Errorf("knobs: line %d: value %q for %s: %w", lineNo, val, key, err)
 		}

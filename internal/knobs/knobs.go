@@ -186,7 +186,7 @@ func (k *Knob) Normalize(v, ramGB, diskGB float64) float64 {
 	} else {
 		x = (v - min) / (max - min)
 	}
-	if x < 0 {
+	if !(x > 0) { // below the range, or NaN: the log of a non-positive value
 		return 0
 	}
 	if x > 1 {

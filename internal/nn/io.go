@@ -55,25 +55,6 @@ func WriteAtomicFS(fsys vfs.FS, path string, write func(io.Writer) error) error 
 	return fsys.SyncDir(dir)
 }
 
-// SyncDir fsyncs a directory so a rename or create recorded in it survives
-// a crash. Filesystems that refuse directory fsync (some network mounts)
-// degrade to the pre-fsync durability rather than failing the write.
-func SyncDir(dir string) error {
-	return vfs.OS.SyncDir(dir)
-}
-
-// Rename renames oldpath onto newpath with plain rename semantics and
-// none of the atomic-write fsync discipline. It exists for lock-claim
-// protocols (renaming a stale lock file claims it: exactly one renamer
-// wins) where the rename IS the atomic primitive and durability is
-// irrelevant — lock files are advisory and rebuilt on restart. Every
-// durable file still goes through WriteAtomic; the repo lint forbids a
-// bare os.Rename anywhere outside this file and the vfs passthrough so
-// nothing else bypasses it.
-func Rename(oldpath, newpath string) error {
-	return vfs.OS.Rename(oldpath, newpath)
-}
-
 // NetworkState is a deep copy of everything Save persists for a Network:
 // parameter tensors in layer order plus BatchNorm running statistics. It
 // doubles as the in-memory snapshot format the learner-health supervisor

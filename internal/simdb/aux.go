@@ -20,10 +20,8 @@ import (
 // Figure 1(d) and the knob-count behaviour of Figures 6-8. Amplitudes
 // follow a power law: a few minor knobs matter, most barely do.
 //
-// The surface is engine-agnostic — it is keyed only on knob names and the
-// catalog — so every engine family (the buffer-pool engines here and the
-// LSM engine in simdb/lsm) shares the same construction while getting a
-// different landscape from its own knob names.
+// The surface is keyed only on knob names and the catalog, so the shell
+// builds one per instance and every engine family gets its own landscape.
 type AuxSurface struct {
 	cat  *knobs.Catalog
 	idx  []int // positions of aux knobs in the full catalog

@@ -4,17 +4,14 @@ import (
 	"math"
 
 	"cdbtune/internal/knobs"
+	"cdbtune/internal/simdb"
 	"cdbtune/internal/workload"
 )
 
 // perf is the deterministic output of the LSM cost model for the current
 // configuration under one workload. Rates are per second.
 type perf struct {
-	TPS       float64
-	LatencyMS float64
-
-	Crashed     bool
-	CrashReason string
+	simdb.Rates // externals, crash verdict, StallFrac; model fills in Metrics
 
 	// The amplification triangle.
 	WriteAmp float64 // bytes written to disk per byte ingested
@@ -26,12 +23,10 @@ type perf struct {
 	L0Files        float64 // steady-state L0 sorted-run population
 	PSlow          float64 // probability a write hits the slowdown regime
 	PStop          float64 // probability a write hits a full stop
-	StallFrac      float64 // fraction of wall time spent fully stalled
 
 	// Model internals consumed by metric generation.
 	BlockHit       float64 // block cache hit ratio
 	MemtableFill   float64 // active memtable fill fraction
-	Levels         float64 // sorted runs below L0
 	ReadOps        float64 // read operations /s
 	WriteOps       float64 // write operations /s
 	BlockReqs      float64 // block cache requests /s
@@ -49,14 +44,12 @@ type perf struct {
 	MemPressure    float64
 }
 
-// roleValue returns the current actual value of the first knob carrying
-// the role, or def when the catalog subset lacks it.
-func (db *DB) roleValue(r knobs.Role, def float64) float64 {
-	i := db.catalog.RoleIndex(r)
-	if i < 0 {
-		return def
-	}
-	return db.values[i]
+// New creates an LSM instance on the given hardware with every knob at its
+// default: the shared simdb instance shell around this package's cost
+// model. seed fixes the run-to-run measurement noise; the knob-response
+// surface itself is seed-independent, like simdb's.
+func New(inst simdb.Instance, seed int64) *simdb.DB {
+	return simdb.NewEngine(knobs.EngineLSM, inst, seed, model)
 }
 
 // logistic is the smooth trigger response: ~0 well below the threshold,
@@ -107,69 +100,69 @@ const entryKB = 0.3
 // the rates metric generation needs. It is a pure function of the current
 // knob values (no RNG), so measurements are deterministic up to sampling
 // noise.
-func (db *DB) evaluate(w workload.Workload) perf {
-	hw := db.inst.HW
+func evaluate(in simdb.Inputs, w workload.Workload) perf {
+	hw := in.HW
 	ramMB := hw.RAMGB * 1024
 	diskMB := hw.DiskGB * 1024
 	diskSpeed := hw.DiskSpeedFactor() // >1 = slower medium
 
 	// ---- Knobs -----------------------------------------------------------
-	memtMB := db.roleValue(knobs.RoleMemtableSize, 64)
-	memtN := db.roleValue(knobs.RoleMemtableCount, 2)
-	mergeMin := db.roleValue(knobs.RoleMemtableMergeMin, 1)
-	walPolicy := db.roleValue(knobs.RoleWALPolicy, 1)
-	walSyncKB := db.roleValue(knobs.RoleWALBytesPerSync, 0)
-	walCapMB := db.roleValue(knobs.RoleWALSizeLimit, 64)
-	walBufMB := db.roleValue(knobs.RoleLogBufferSize, 8)
+	memtMB := in.Knob(knobs.RoleMemtableSize, 64)
+	memtN := in.Knob(knobs.RoleMemtableCount, 2)
+	mergeMin := in.Knob(knobs.RoleMemtableMergeMin, 1)
+	walPolicy := in.Knob(knobs.RoleWALPolicy, 1)
+	walSyncKB := in.Knob(knobs.RoleWALBytesPerSync, 0)
+	walCapMB := in.Knob(knobs.RoleWALSizeLimit, 64)
+	walBufMB := in.Knob(knobs.RoleLogBufferSize, 8)
 
-	tiered := db.roleValue(knobs.RoleCompactionStyle, 0) >= 1
-	levelMult := db.roleValue(knobs.RoleLevelMultiplier, 10)
-	levelBaseMB := db.roleValue(knobs.RoleLevelBase, 256)
-	numLevels := db.roleValue(knobs.RoleNumLevels, 7)
-	dynLevel := db.roleValue(knobs.RoleDynamicLevelBytes, 0) >= 1
-	l0Compact := db.roleValue(knobs.RoleL0CompactTrigger, 4)
-	l0Slow := db.roleValue(knobs.RoleL0SlowdownTrigger, 20)
-	l0Stop := db.roleValue(knobs.RoleL0StopTrigger, 36)
-	targetMB := db.roleValue(knobs.RoleTargetFileSize, 64)
-	targetMul := db.roleValue(knobs.RoleTargetFileMultiplier, 1)
-	softPendGB := db.roleValue(knobs.RoleSoftPendingLimit, 16)
-	hardPendGB := db.roleValue(knobs.RoleHardPendingLimit, 64)
-	periodicHr := db.roleValue(knobs.RolePeriodicCompaction, 0)
+	tiered := in.Knob(knobs.RoleCompactionStyle, 0) >= 1
+	levelMult := in.Knob(knobs.RoleLevelMultiplier, 10)
+	levelBaseMB := in.Knob(knobs.RoleLevelBase, 256)
+	numLevels := in.Knob(knobs.RoleNumLevels, 7)
+	dynLevel := in.Knob(knobs.RoleDynamicLevelBytes, 0) >= 1
+	l0Compact := in.Knob(knobs.RoleL0CompactTrigger, 4)
+	l0Slow := in.Knob(knobs.RoleL0SlowdownTrigger, 20)
+	l0Stop := in.Knob(knobs.RoleL0StopTrigger, 36)
+	targetMB := in.Knob(knobs.RoleTargetFileSize, 64)
+	targetMul := in.Knob(knobs.RoleTargetFileMultiplier, 1)
+	softPendGB := in.Knob(knobs.RoleSoftPendingLimit, 16)
+	hardPendGB := in.Knob(knobs.RoleHardPendingLimit, 64)
+	periodicHr := in.Knob(knobs.RolePeriodicCompaction, 0)
 
-	uniRatio := db.roleValue(knobs.RoleUniversalSizeRatio, 1)
-	uniMerge := db.roleValue(knobs.RoleUniversalMinMerge, 2)
-	uniMaxAmp := db.roleValue(knobs.RoleUniversalMaxSizeAmp, 200)
+	uniRatio := in.Knob(knobs.RoleUniversalSizeRatio, 1)
+	uniMerge := in.Knob(knobs.RoleUniversalMinMerge, 2)
+	uniMaxAmp := in.Knob(knobs.RoleUniversalMaxSizeAmp, 200)
 
-	compThreads := db.roleValue(knobs.RoleCompactionThreads, 2)
-	flushThreads := db.roleValue(knobs.RoleFlushThreads, 1)
-	subcomp := db.roleValue(knobs.RoleSubcompactions, 1)
-	compReadKB := db.roleValue(knobs.RoleCompactionReadahead, 512)
-	rateMBps := db.roleValue(knobs.RoleRateLimiter, 0)
-	delayedMBps := db.roleValue(knobs.RoleDelayedWriteRate, 16)
-	directIO := db.roleValue(knobs.RoleDirectIO, 0) >= 1
+	compThreads := in.Knob(knobs.RoleCompactionThreads, 2)
+	flushThreads := in.Knob(knobs.RoleFlushThreads, 1)
+	subcomp := in.Knob(knobs.RoleSubcompactions, 1)
+	compReadKB := in.Knob(knobs.RoleCompactionReadahead, 512)
+	rateMBps := in.Knob(knobs.RoleRateLimiter, 0)
+	delayedMBps := in.Knob(knobs.RoleDelayedWriteRate, 16)
+	directIO := in.Knob(knobs.RoleDirectIO, 0) >= 1
 
-	bloomBits := db.roleValue(knobs.RoleBloomBits, 10)
-	wholeKey := db.roleValue(knobs.RoleBloomWholeKey, 1) >= 1
-	prefixBloom := db.roleValue(knobs.RolePrefixBloom, 0)
-	cacheMB := db.roleValue(knobs.RoleBlockCache, 32)
-	blockKB := db.roleValue(knobs.RoleBlockSize, 4)
-	cacheIdxFilter := db.roleValue(knobs.RoleCacheIndexFilter, 0) >= 1
-	pinL0 := db.roleValue(knobs.RolePinL0Filter, 0) >= 1
-	rowCacheMB := db.roleValue(knobs.RoleRowCache, 0)
-	optimizeHits := db.roleValue(knobs.RoleOptimizeFiltersHits, 0) >= 1
-	iterReadKB := db.roleValue(knobs.RoleIteratorReadahead, 0)
-	maxOpen := db.roleValue(knobs.RoleMaxOpenFiles, 1024)
-	mmapReads := db.roleValue(knobs.RoleMmapRead, 0) >= 1
+	bloomBits := in.Knob(knobs.RoleBloomBits, 10)
+	wholeKey := in.Knob(knobs.RoleBloomWholeKey, 1) >= 1
+	prefixBloom := in.Knob(knobs.RolePrefixBloom, 0)
+	cacheMB := in.Knob(knobs.RoleBlockCache, 32)
+	blockKB := in.Knob(knobs.RoleBlockSize, 4)
+	cacheIdxFilter := in.Knob(knobs.RoleCacheIndexFilter, 0) >= 1
+	pinL0 := in.Knob(knobs.RolePinL0Filter, 0) >= 1
+	rowCacheMB := in.Knob(knobs.RoleRowCache, 0)
+	optimizeHits := in.Knob(knobs.RoleOptimizeFiltersHits, 0) >= 1
+	iterReadKB := in.Knob(knobs.RoleIteratorReadahead, 0)
+	maxOpen := in.Knob(knobs.RoleMaxOpenFiles, 1024)
+	mmapReads := in.Knob(knobs.RoleMmapRead, 0) >= 1
 
-	compType := db.roleValue(knobs.RoleCompressionType, 1)
-	compLevel := db.roleValue(knobs.RoleCompressionLevel, 3)
-	bottomType := db.roleValue(knobs.RoleBottommostCompression, 3)
+	compType := in.Knob(knobs.RoleCompressionType, 1)
+	compLevel := in.Knob(knobs.RoleCompressionLevel, 3)
+	bottomType := in.Knob(knobs.RoleBottommostCompression, 3)
 
-	pipelined := db.roleValue(knobs.RolePipelinedWrite, 0) >= 1
-	concMemt := db.roleValue(knobs.RoleConcurrentMemtable, 1) >= 1
-	writeYield := db.roleValue(knobs.RoleWriteThreadYield, 100)
-	maxConn := db.roleValue(knobs.RoleMaxConnections, 1000)
-	svcThreads := db.roleValue(knobs.RoleThreadConcurrency, 0)
+	pipelined := in.Knob(knobs.RolePipelinedWrite, 0) >= 1
+	concMemt := in.Knob(knobs.RoleConcurrentMemtable, 1) >= 1
+	writeYield := in.Knob(knobs.RoleWriteThreadYield, 100)
+	maxConn := in.Knob(knobs.RoleMaxConnections, 1000)
+	svcThreads := in.Knob(knobs.RoleThreadConcurrency, 0)
 
 	var p perf
 
@@ -203,7 +196,6 @@ func (db *DB) evaluate(w workload.Workload) perf {
 	if levels < 1 {
 		levels = 1
 	}
-	p.Levels = levels
 
 	// ---- Write amplification --------------------------------------------
 	// One WAL write + one flush + the merge cost of the compaction shape.
@@ -502,7 +494,7 @@ func (db *DB) evaluate(w workload.Workload) perf {
 	if maxConn < clients {
 		connCap = 0.25 + 0.75*maxConn/clients
 	}
-	auxFactor := db.aux.Factor(db.values, hw, w)
+	auxFactor := in.AuxFactor
 
 	opCost := readShare*readCost + writeShare*writeCost
 	if opCost < 0.2 {

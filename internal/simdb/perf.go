@@ -10,11 +10,7 @@ import (
 // perf is the deterministic output of the performance model for the
 // current configuration under one workload. Rates are per second.
 type perf struct {
-	TPS       float64
-	LatencyMS float64
-
-	Crashed     bool
-	CrashReason string
+	Rates // externals and crash verdict; bufferPoolModel fills in Metrics
 
 	// Model internals consumed by metric generation.
 	HitRatio     float64
@@ -36,16 +32,6 @@ type perf struct {
 	BPPagesTotal float64
 	BPPagesData  float64
 	MemPressure  float64
-}
-
-// roleValue returns the current actual value of the first knob carrying
-// the role, or def when the engine catalog lacks it.
-func (db *DB) roleValue(r knobs.Role, def float64) float64 {
-	i := db.catalog.RoleIndex(r)
-	if i < 0 {
-		return def
-	}
-	return db.values[i]
 }
 
 // gaussResponse is the inverted-U response used for thread-count and
@@ -82,38 +68,38 @@ func engineBase(e knobs.Engine, class workload.Class) float64 {
 	}
 }
 
-// evaluate runs the cost model: it converts the current knob values, the
-// workload profile and the hardware into throughput, latency and the
-// internal rates that metric generation needs.
-func (db *DB) evaluate(w workload.Workload) perf {
-	hw := db.inst.HW
+// evaluate runs the buffer-pool cost model: it converts the current knob
+// values, the workload profile and the hardware into throughput, latency
+// and the internal rates that metric generation needs.
+func evaluate(in Inputs, w workload.Workload) perf {
+	hw := in.HW
 	ramMB := hw.RAMGB * 1024
 	diskMB := hw.DiskGB * 1024
 
-	bpMB := db.roleValue(knobs.RoleBufferPool, 128)
-	logFileMB := db.roleValue(knobs.RoleLogFileSize, 48)
-	logFiles := db.roleValue(knobs.RoleLogFilesInGroup, 2)
-	flushPolicy := db.roleValue(knobs.RoleFlushLogAtCommit, 1)
-	syncBinlog := db.roleValue(knobs.RoleSyncBinlog, 1)
-	readThreads := db.roleValue(knobs.RoleReadIOThreads, 4)
-	writeThreads := db.roleValue(knobs.RoleWriteIOThreads, 4)
-	purgeThreads := db.roleValue(knobs.RolePurgeThreads, 1)
-	threadConc := db.roleValue(knobs.RoleThreadConcurrency, 0)
-	maxConn := db.roleValue(knobs.RoleMaxConnections, 151)
-	ioCap := db.roleValue(knobs.RoleIOCapacity, 200)
-	logBufMB := db.roleValue(knobs.RoleLogBufferSize, 8)
-	qcacheMB := db.roleValue(knobs.RoleQueryCacheSize, 0)
-	qcacheType := db.roleValue(knobs.RoleQueryCacheType, 0)
-	ahi := db.roleValue(knobs.RoleAdaptiveHash, 1)
-	maxDirty := db.roleValue(knobs.RoleMaxDirtyPct, 75)
-	doublewrite := db.roleValue(knobs.RoleDoublewrite, 1)
-	sortBufMB := db.roleValue(knobs.RoleSortBufferSize, 0.25)
-	joinBufMB := db.roleValue(knobs.RoleJoinBufferSize, 0.25)
-	tmpTableMB := db.roleValue(knobs.RoleTmpTableSize, 16)
-	threadCache := db.roleValue(knobs.RoleThreadCacheSize, 9)
-	tableCache := db.roleValue(knobs.RoleTableOpenCache, 2000)
-	changeBuf := db.roleValue(knobs.RoleChangeBuffering, 5)
-	readAhead := db.roleValue(knobs.RoleReadAhead, 56)
+	bpMB := in.Knob(knobs.RoleBufferPool, 128)
+	logFileMB := in.Knob(knobs.RoleLogFileSize, 48)
+	logFiles := in.Knob(knobs.RoleLogFilesInGroup, 2)
+	flushPolicy := in.Knob(knobs.RoleFlushLogAtCommit, 1)
+	syncBinlog := in.Knob(knobs.RoleSyncBinlog, 1)
+	readThreads := in.Knob(knobs.RoleReadIOThreads, 4)
+	writeThreads := in.Knob(knobs.RoleWriteIOThreads, 4)
+	purgeThreads := in.Knob(knobs.RolePurgeThreads, 1)
+	threadConc := in.Knob(knobs.RoleThreadConcurrency, 0)
+	maxConn := in.Knob(knobs.RoleMaxConnections, 151)
+	ioCap := in.Knob(knobs.RoleIOCapacity, 200)
+	logBufMB := in.Knob(knobs.RoleLogBufferSize, 8)
+	qcacheMB := in.Knob(knobs.RoleQueryCacheSize, 0)
+	qcacheType := in.Knob(knobs.RoleQueryCacheType, 0)
+	ahi := in.Knob(knobs.RoleAdaptiveHash, 1)
+	maxDirty := in.Knob(knobs.RoleMaxDirtyPct, 75)
+	doublewrite := in.Knob(knobs.RoleDoublewrite, 1)
+	sortBufMB := in.Knob(knobs.RoleSortBufferSize, 0.25)
+	joinBufMB := in.Knob(knobs.RoleJoinBufferSize, 0.25)
+	tmpTableMB := in.Knob(knobs.RoleTmpTableSize, 16)
+	threadCache := in.Knob(knobs.RoleThreadCacheSize, 9)
+	tableCache := in.Knob(knobs.RoleTableOpenCache, 2000)
+	changeBuf := in.Knob(knobs.RoleChangeBuffering, 5)
+	readAhead := in.Knob(knobs.RoleReadAhead, 56)
 
 	var p perf
 
@@ -242,11 +228,11 @@ func (db *DB) evaluate(w workload.Workload) perf {
 	tocAdj := 1 - 0.06*(1-tableCache/(tableCache+clients*2))
 
 	// ---- Minor knobs ------------------------------------------------------
-	auxFactor := db.aux.Factor(db.values, db.inst.HW, w)
+	auxFactor := in.AuxFactor
 
 	// ---- Throughput --------------------------------------------------------
 	opCost := readShare*readCost + writeShare*writeCost
-	base := engineBase(db.engine, w.Class)
+	base := engineBase(in.Engine, w.Class)
 	opsPerSec := base * concAdj * connCap * tcAdj * tocAdj * swapFactor * auxFactor / opCost
 	tps := opsPerSec / w.OpsPerTxn
 	if tps < 0.1 {

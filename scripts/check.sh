@@ -14,12 +14,16 @@ echo "== package docs =="
 # Every internal package keeps its package-level contract in a doc.go, so
 # the documented invariants (buffer ownership, concurrency, timeline
 # semantics, drift thresholds) have one canonical home.
-for d in internal/*/ internal/rl/ddpg/ internal/simdb/lsm/; do
-    if [ ! -f "${d}doc.go" ]; then
-        echo "missing ${d}doc.go" >&2
+for d in $(go list -f '{{.Dir}}' ./internal/...); do
+    if [ ! -f "$d/doc.go" ]; then
+        echo "missing $d/doc.go" >&2
         exit 1
     fi
 done
+
+echo "== non-test Go lines =="
+# The one agreed size figure "net-negative LOC" refers to.
+./scripts/loc.sh
 
 echo "== os.Rename lint =="
 # Atomic-write discipline: every durable file lands through nn.WriteAtomic
@@ -28,7 +32,6 @@ echo "== os.Rename lint =="
 # torn file. A bare os.Rename anywhere else skips the fsyncs and breaks
 # that contract on crash.
 rename_hits="$(grep -rn 'os\.Rename' --include='*.go' . \
-    | grep -v '^\./internal/nn/io\.go:' \
     | grep -v '^\./internal/vfs/os\.go:' || true)"
 if [ -n "$rename_hits" ]; then
     echo "direct os.Rename outside the atomic-write helper (use nn.WriteAtomic):" >&2
@@ -89,6 +92,12 @@ echo "== fleet smoke =="
 # one SIGKILL and one lease stall mid-run; must end with zero lost jobs,
 # a recorded failover via lease steal, and a CRC-clean shared registry.
 go run ./cmd/loadgen
+
+echo "== fuzz smoke =="
+# A few seconds of native fuzzing on the parser of operator-supplied
+# configuration files: no panic, every value inside its knob's range, and
+# FormatConfig -> ParseConfig round-trips, for every engine catalog.
+go test -run '^$' -fuzz '^FuzzParseConfig$' -fuzztime 5s ./internal/knobs/
 
 echo "== go test -race (short) =="
 go test -race -short -shuffle=on -timeout 20m ./...
