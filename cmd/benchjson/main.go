@@ -75,6 +75,8 @@ type Report struct {
 	ActBatch8Allocs float64 `json:"act_batch8_allocs"`
 	EpisodesPerSec  float64 `json:"episodes_per_sec"`
 
+	ModelPath ModelPath `json:"model_path"`
+
 	Baseline Baseline `json:"baseline"`
 
 	TrainStepSpeedup    float64 `json:"train_step_speedup"`
@@ -221,6 +223,12 @@ func measure(benchtime time.Duration, reps, episodes int) Report {
 	// End-to-end offline training throughput on the simulator.
 	r.EpisodesPerSec = measureEpisodesPerSec(episodes)
 
+	mp, err := measureModelPath(benchtime, reps)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: model-path bench: %v\n", err)
+	}
+	r.ModelPath = mp
+
 	if r.Baseline.TrainStepUS > 0 {
 		r.TrainStepSpeedup = r.Baseline.TrainStepUS / r.TrainStepUS
 	}
@@ -301,6 +309,7 @@ var requiredKeys = []string{
 	"train_step_allocs",
 	"act_batch8_us",
 	"episodes_per_sec",
+	"model_path",
 	"baseline",
 }
 
@@ -324,6 +333,11 @@ func checkFile(path string) error {
 	}
 	if r.TrainStepUS <= 0 || r.GEMMGflopsMul <= 0 {
 		return fmt.Errorf("%s: non-positive measurements (train_step_us=%v, gemm_gflops_mul=%v)", path, r.TrainStepUS, r.GEMMGflopsMul)
+	}
+	for _, name := range modelPathRows {
+		if r.ModelPath.Rows[name].NsOp <= 0 {
+			return fmt.Errorf("%s: model_path row %q has no measurement", path, name)
+		}
 	}
 	return nil
 }

@@ -10,24 +10,46 @@ import (
 	"os"
 
 	"cdbtune/internal/nn"
+	"cdbtune/internal/rl/ddpg"
 	"cdbtune/internal/vfs"
 )
 
-// WriteFramed writes payload to w followed by the 8-byte integrity footer
-// (4 magic bytes + the little-endian IEEE CRC32 of the payload) that
-// checkpoints and registry entries end with. ReadFramed verifies and
-// strips the footer before any decoding happens, so a truncated or
-// bit-flipped file is rejected with a clear error instead of a gob decode
-// failure (or, worse, silently plausible garbage).
-func WriteFramed(w io.Writer, payload []byte, magic [4]byte) error {
+// FrameWriter streams a payload to an underlying writer while accumulating
+// its CRC32; Finish then appends the 8-byte integrity footer (4 magic bytes
+// + the little-endian IEEE CRC32 of everything written) that checkpoints
+// and registry entries end with. ReadFramed verifies and strips the footer
+// before any decoding happens, so a truncated or bit-flipped file is
+// rejected with a clear error instead of a decode failure (or, worse,
+// silently plausible garbage).
+type FrameWriter struct {
+	w   io.Writer
+	crc uint32
+}
+
+// NewFrameWriter starts a frame on w.
+func NewFrameWriter(w io.Writer) *FrameWriter { return &FrameWriter{w: w} }
+
+func (f *FrameWriter) Write(p []byte) (int, error) {
+	f.crc = crc32.Update(f.crc, crc32.IEEETable, p)
+	return f.w.Write(p)
+}
+
+// Finish writes the footer; the frame is complete and f is spent.
+func (f *FrameWriter) Finish(magic [4]byte) error {
 	var footer [8]byte
 	copy(footer[:4], magic[:])
-	binary.LittleEndian.PutUint32(footer[4:], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(payload); err != nil {
+	binary.LittleEndian.PutUint32(footer[4:], f.crc)
+	_, err := f.w.Write(footer[:])
+	return err
+}
+
+// WriteFramed writes payload to w as one complete frame.
+func WriteFramed(w io.Writer, payload []byte, magic [4]byte) error {
+	f := NewFrameWriter(w)
+	if _, err := f.Write(payload); err != nil {
 		return err
 	}
-	_, err := w.Write(footer[:])
-	return err
+	return f.Finish(magic)
 }
 
 // ReadFramed verifies data's integrity footer against magic and returns
@@ -97,7 +119,9 @@ func ReadCheckpointPayload(fsys vfs.FS, path string) ([]byte, bool, error) {
 	return payload, true, nil
 }
 
-const checkpointVersion = 2
+// checkpointVersion 3: Agent and BestSnapshot hold the nn tensor-list model
+// format (version 2 held gob).
+const checkpointVersion = 3
 
 // checkpointMagic tags the 8-byte integrity footer every checkpoint ends
 // with: 4 magic bytes + the little-endian IEEE CRC32 of the gob payload.
@@ -135,7 +159,7 @@ func (c *Checkpointer) save(t *Tuner, rep TrainReport) error {
 	blob := checkpointBlob{Version: checkpointVersion, Report: rep}
 
 	t.agentMu.Lock()
-	var agentBuf bytes.Buffer
+	var agentBuf, bestBuf bytes.Buffer
 	err := t.agent.Save(&agentBuf)
 	if err == nil {
 		if pm, ok := t.agent.Memory.(persistentMemory); ok {
@@ -149,10 +173,12 @@ func (c *Checkpointer) save(t *Tuner, rep TrainReport) error {
 	blob.NoiseSigma = t.agent.Noise.Scale()
 	blob.BestEval = t.bestEval
 	blob.BestActionPerf = t.bestActionPerf
-	if t.bestSnapshot != nil {
-		blob.BestSnapshot = append([]byte(nil), t.bestSnapshot...)
-	}
+	best := t.bestSnapshot // immutable once taken: encoded outside the lock
 	t.agentMu.Unlock()
+	if err == nil && best != nil {
+		err = best.Save(&bestBuf)
+		blob.BestSnapshot = bestBuf.Bytes()
+	}
 	if err != nil {
 		return fmt.Errorf("core: checkpoint: %w", err)
 	}
@@ -190,14 +216,15 @@ func (c *Checkpointer) Load(t *Tuner) (TrainReport, bool, error) {
 			err = pm.Load(bytes.NewReader(blob.Memory))
 		}
 	}
+	var best *ddpg.WeightSnapshot
+	if err == nil && len(blob.BestSnapshot) > 0 {
+		best, err = t.agent.ReadSnapshot(bytes.NewReader(blob.BestSnapshot))
+	}
 	if err == nil {
 		t.agent.Noise.SetScale(blob.NoiseSigma)
 		t.bestEval = blob.BestEval
 		t.bestActionPerf = blob.BestActionPerf
-		t.bestSnapshot = nil
-		if len(blob.BestSnapshot) > 0 {
-			t.bestSnapshot = append([]byte(nil), blob.BestSnapshot...)
-		}
+		t.bestSnapshot = best
 	}
 	t.agentMu.Unlock()
 	if err != nil {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -148,7 +147,7 @@ type Tuner struct {
 	mu         sync.Mutex
 	iterations int
 
-	bestSnapshot []byte
+	bestSnapshot *ddpg.WeightSnapshot
 	bestEval     float64
 
 	bestActionPerf float64
@@ -359,24 +358,26 @@ func (t *Tuner) maybeSnapshot(e *env.Env) error {
 	t.agentMu.Lock()
 	defer t.agentMu.Unlock()
 	if t.bestSnapshot == nil || best > t.bestEval {
-		var buf bytes.Buffer
-		if err := t.agent.Save(&buf); err != nil {
-			return err
-		}
-		t.bestSnapshot = buf.Bytes()
+		t.bestSnapshot = t.agent.Snapshot()
 		t.bestEval = best
 	}
 	return nil
 }
 
-// restoreBest reloads the best snapshot taken during training.
+// restoreBest puts the best snapshot taken during training back, under
+// Load's contract: a snapshot taken of already-diverged (non-finite)
+// weights is refused with the agent untouched, and the optimizers' moments
+// are kept (unlike the supervisor's divergence rollback).
 func (t *Tuner) restoreBest() error {
 	t.agentMu.Lock()
 	defer t.agentMu.Unlock()
 	if t.bestSnapshot == nil {
 		return nil
 	}
-	return t.agent.Load(bytes.NewReader(t.bestSnapshot))
+	if err := t.bestSnapshot.Finite(); err != nil {
+		return fmt.Errorf("core: best-policy snapshot: corrupt model: %w", err)
+	}
+	return t.agent.SetWeights(t.bestSnapshot)
 }
 
 // epStats accumulates one episode's outcome and telemetry while it runs.

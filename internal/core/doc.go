@@ -15,8 +15,9 @@
 //
 //   - agentMu serializes everything that touches the agent's networks,
 //     optimizers or rng: action selection (Act/ActBatch/Perturb),
-//     gradient updates (TrainStep), snapshot Save/Load, and the
-//     self-imitation target.
+//     gradient updates (TrainStep), Save/Load, taking and restoring the
+//     best-policy snapshot (Snapshot/SetWeights), and the self-imitation
+//     target.
 //   - Observe (storing a transition) is serialized by agentMu only when
 //     the replay pool is the default single-lock flavor. With
 //     Config.MemoryShards ≥ 2 the pool is an rl.ShardedMemory —

@@ -30,6 +30,20 @@
 // network passes this way). Within one pass the mat kernels may fan out
 // across goroutines internally; that is invisible to callers.
 //
+// # Serialization
+//
+// A saved network is a flat list of float64 tensors in a length-prefixed
+// little-endian raw format (WriteTensors/ReadTensors: magic, version,
+// tensor count, per-tensor length, IEEE-754 bits — bit-exact, 8 bytes a
+// value). Network.Tensors fixes the order: parameters in layer order, then
+// BatchNorm running means, then running variances; the architecture is
+// not stored. ReadTensors treats its input as untrusted and bounds every
+// declared count and length by the bytes remaining before it allocates;
+// shape and finiteness are the caller's next two gates (TakeState +
+// CheckState, NetworkState.Finite) and nothing is applied until both
+// pass. NetworkState is the same data as plain slice copies, for
+// in-memory snapshots. DESIGN.md §11 has the byte layout.
+//
 // # Weight decay
 //
 // SGD and Adam apply L2 weight decay to weight matrices only. Bias rows

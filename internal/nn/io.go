@@ -1,7 +1,9 @@
 package nn
 
 import (
-	"encoding/gob"
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -114,7 +116,7 @@ func (n *Network) CheckState(st *NetworkState) error {
 }
 
 // SetState restores a state captured from an identically-shaped network
-// (via State or ReadState), validating shapes before touching anything.
+// (via State or TakeState), validating shapes before touching anything.
 func (n *Network) SetState(st *NetworkState) error {
 	if err := n.CheckState(st); err != nil {
 		return err
@@ -138,53 +140,206 @@ func (n *Network) SetState(st *NetworkState) error {
 // that keeps a corrupt serialized model from being silently loaded.
 func (st *NetworkState) Finite() error {
 	for i, p := range st.Params {
-		for _, v := range p {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("nn: param %d contains non-finite value %v", i, v)
-			}
+		if j := firstNonFinite(p); j >= 0 {
+			return fmt.Errorf("nn: param %d contains non-finite value %v", i, p[j])
 		}
 	}
 	for i, m := range st.RunningMeans {
-		for _, v := range m {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("nn: BatchNorm %d running mean contains non-finite value %v", i, v)
-			}
+		if j := firstNonFinite(m); j >= 0 {
+			return fmt.Errorf("nn: BatchNorm %d running mean contains non-finite value %v", i, m[j])
 		}
 	}
 	for i, m := range st.RunningVars {
-		for _, v := range m {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("nn: BatchNorm %d running variance contains non-finite value %v", i, v)
-			}
+		if j := firstNonFinite(m); j >= 0 {
+			return fmt.Errorf("nn: BatchNorm %d running variance contains non-finite value %v", i, m[j])
 		}
 	}
 	return nil
 }
 
-// ReadState decodes one serialized NetworkState from r without applying it
-// to any network, so callers can validate (CheckState, Finite) before
-// mutating weights.
-func ReadState(r io.Reader) (*NetworkState, error) {
-	var st NetworkState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
-		return nil, fmt.Errorf("nn: decode network state: %w", err)
+// firstNonFinite returns the index of the first NaN or ±Inf in xs, or -1.
+// x−x is 0 exactly for finite x (NaN for the rest): one subtraction a
+// value instead of three comparisons, on a loop that runs over every
+// weight of every loaded model.
+func firstNonFinite(xs []float64) int {
+	for i, x := range xs {
+		if x-x != 0 {
+			return i
+		}
 	}
-	return &st, nil
+	return -1
+}
+
+// Tensors lists the network's live state in serialized order: parameter
+// tensors in layer order, then every BatchNorm's running mean, then every
+// BatchNorm's running variance. The slices alias the network — they are
+// for encoding, not for keeping; State is the independent copy.
+func (n *Network) Tensors() [][]float64 {
+	var ts, vars [][]float64
+	for _, p := range n.Params() {
+		ts = append(ts, p.Value.Data)
+	}
+	for _, l := range n.Layers {
+		if bn, ok := l.(*BatchNorm); ok {
+			ts = append(ts, bn.RunningMean)
+			vars = append(vars, bn.RunningVar)
+		}
+	}
+	return append(ts, vars...)
+}
+
+// Tensors lists the state's tensors in the same order as Network.Tensors.
+func (st *NetworkState) Tensors() [][]float64 {
+	ts := append([][]float64(nil), st.Params...)
+	ts = append(ts, st.RunningMeans...)
+	return append(ts, st.RunningVars...)
+}
+
+// TakeState splits this network's share off the front of a decoded tensor
+// list (the inverse of Tensors) and returns it with the remainder. Only
+// the tensor count is checked here; CheckState validates the shapes. The
+// state aliases ts.
+func (n *Network) TakeState(ts [][]float64) (*NetworkState, [][]float64, error) {
+	np, nb := len(n.Params()), 0
+	for _, l := range n.Layers {
+		if _, ok := l.(*BatchNorm); ok {
+			nb++
+		}
+	}
+	if len(ts) < np+2*nb {
+		return nil, nil, fmt.Errorf("nn: state has %d tensors, network has %d", len(ts), np+2*nb)
+	}
+	st := &NetworkState{Params: ts[:np], RunningMeans: ts[np : np+nb], RunningVars: ts[np+nb : np+2*nb]}
+	return st, ts[np+2*nb:], nil
+}
+
+// The model format is a flat list of float64 tensors, all integers
+// little-endian:
+//
+//	"CDBM" | u32 version | u32 N | N × ( u32 len | len × IEEE-754 bits )
+//
+// What the tensors mean is the writer's business (Network.Tensors order
+// for a network; ddpg.Agent.Save concatenates four networks and the
+// best-action target). Values round-trip bit-exactly.
+const (
+	tensorMagic   = "CDBM"
+	tensorVersion = 1
+	tensorHeader  = len(tensorMagic) + 4 + 4
+)
+
+// WriteTensors encodes tensors into one pre-sized buffer and hands it to w
+// in a single Write.
+func WriteTensors(w io.Writer, tensors [][]float64) error {
+	size := tensorHeader
+	for _, t := range tensors {
+		size += 4 + 8*len(t)
+	}
+	var buf []byte
+	if bb, ok := w.(*bytes.Buffer); ok {
+		// Encode straight into the buffer's own spare capacity (the
+		// AvailableBuffer idiom): the Write below then copies nothing.
+		bb.Grow(size)
+		buf = bb.AvailableBuffer()
+	} else {
+		buf = make([]byte, 0, size)
+	}
+	buf = append(buf, tensorMagic...)
+	buf = binary.LittleEndian.AppendUint32(buf, tensorVersion)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(tensors)))
+	for _, t := range tensors {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(t)))
+		for _, v := range t {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		}
+	}
+	_, err := w.Write(buf)
+	return err
+}
+
+// ReadTensors decodes a tensor list written by WriteTensors, consuming r
+// to EOF. The bytes are untrusted: every declared count and length is
+// bounded by the bytes actually remaining before anything is allocated, so
+// a corrupt length field costs an error, never memory. Trailing bytes are
+// an error too.
+//
+// A reader that knows what it has left (bytes.Reader, bytes.Buffer — every
+// in-memory model) is decoded as a stream through a small chunk buffer;
+// anything else is read to EOF first, so that "remaining" is always known.
+func ReadTensors(r io.Reader) ([][]float64, error) {
+	src, ok := r.(interface {
+		io.Reader
+		Len() int
+	})
+	if !ok {
+		data, err := io.ReadAll(r)
+		if err != nil {
+			return nil, fmt.Errorf("nn: read model: %w", err)
+		}
+		src = bytes.NewReader(data)
+	}
+	chunk := make([]byte, 32<<10)
+	head := chunk[:tensorHeader]
+	if _, err := io.ReadFull(src, head); err != nil || string(head[:len(tensorMagic)]) != tensorMagic {
+		return nil, errors.New("nn: not a model file (bad magic; truncated, or written by an older version)")
+	}
+	if v := binary.LittleEndian.Uint32(head[4:]); v != tensorVersion {
+		return nil, fmt.Errorf("nn: model format version %d, want %d", v, tensorVersion)
+	}
+	n := int(binary.LittleEndian.Uint32(head[8:]))
+	if n > src.Len()/4 {
+		return nil, fmt.Errorf("nn: model declares %d tensors in %d bytes", n, src.Len())
+	}
+	// One backing array for every tensor: the payload is at most Len/8
+	// values however the lengths are declared.
+	backing := make([]float64, src.Len()/8)
+	tensors := make([][]float64, n)
+	for i := range tensors {
+		if _, err := io.ReadFull(src, chunk[:4]); err != nil {
+			return nil, fmt.Errorf("nn: model truncated at tensor %d of %d", i, n)
+		}
+		l := int(binary.LittleEndian.Uint32(chunk))
+		if l > src.Len()/8 {
+			return nil, fmt.Errorf("nn: tensor %d declares %d values in %d bytes", i, l, src.Len())
+		}
+		tensors[i], backing = backing[:l:l], backing[l:]
+		for t := tensors[i]; len(t) > 0; {
+			c := chunk[:min(len(chunk), 8*len(t))]
+			if _, err := io.ReadFull(src, c); err != nil {
+				return nil, fmt.Errorf("nn: read model: %w", err)
+			}
+			for k := range t[:len(c)/8] {
+				t[k] = math.Float64frombits(binary.LittleEndian.Uint64(c[8*k : 8*k+8]))
+			}
+			t = t[len(c)/8:]
+		}
+	}
+	if src.Len() != 0 {
+		return nil, fmt.Errorf("nn: %d trailing bytes after the last tensor", src.Len())
+	}
+	return tensors, nil
 }
 
 // Save writes the network's parameters and normalization statistics to w
-// in gob format. The architecture itself is not serialized: Load must be
-// called on a network built with the same layer structure.
+// (see WriteTensors for the format). The architecture itself is not
+// serialized: Load must be called on a network built with the same layer
+// structure.
 func (n *Network) Save(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(n.State())
+	return WriteTensors(w, n.Tensors())
 }
 
 // Load restores parameters previously written by Save into a network with
-// an identical architecture.
+// an identical architecture, validating shapes before touching anything.
 func (n *Network) Load(r io.Reader) error {
-	st, err := ReadState(r)
+	ts, err := ReadTensors(r)
 	if err != nil {
 		return err
+	}
+	st, rest, err := n.TakeState(ts)
+	if err != nil {
+		return err
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("nn: state has %d tensors too many for this network", len(rest))
 	}
 	return n.SetState(st)
 }

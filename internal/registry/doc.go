@@ -4,10 +4,15 @@
 // request can be matched against previously trained models and fine-tune
 // the closest one instead of training from scratch.
 //
-// Each entry is one file (<id>.model) holding the entry metadata plus the
-// serialized agent, written atomically (nn.WriteAtomic: temp file, fsync,
-// rename, directory fsync) and framed with the same CRC32 integrity
-// footer checkpoints use, so a torn or bit-flipped entry is detected and
+// Each entry is one file (<id>.model): a length-prefixed metadata header,
+// then the serialized agent's bytes exactly as Put received them, then the
+// same CRC32 integrity footer checkpoints use (DESIGN.md §11 has the
+// layout). Put streams the three parts through a checksumming writer into
+// an atomic write (nn.WriteAtomic: temp file, fsync, rename, directory
+// fsync); every Get and Nearest re-reads the file, verifies the CRC before
+// looking at anything else, and returns the model as a sub-slice of the
+// verified bytes. A torn or bit-flipped entry — or one left by an older
+// format, which fails the footer check the same way — is detected and
 // skipped loudly rather than served. Repeated fine-tunes of the same
 // model update the entry in place and bump its version instead of
 // duplicating it; when the collection outgrows MaxEntries, the
@@ -30,8 +35,9 @@
 // the same directory so N serve processes share one registry. Mutations
 // (Put/Promote/Delete and the evictions they trigger) run under the
 // registry write lease — a lease file (registry.lease) holding
-// owner/epoch/expiry, acquired by fsync'd exclusive create, renewed by
-// atomic replace, and stolen (epoch bump) after one TTL of silence — and
+// owner/epoch/expiry, first published as a complete fsync'd record by a
+// non-clobbering link, renewed by atomic replace, and stolen (epoch bump)
+// after one TTL of silence — and
 // append a CRC-framed record to registry.wal *before* the entry file is
 // written. Readers replay the log (Refresh) before lookups; a record
 // whose entry file has not caught up with the recorded post-state

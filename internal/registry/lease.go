@@ -50,9 +50,10 @@ func (li LeaseInfo) ExpiredAt(t time.Time) bool {
 // Lease is one process's handle on a file lease. Multiple processes (or
 // goroutines) open handles on the same path; at most one holds it at a
 // time. Every on-disk transition is fsync'd and atomic: the first acquire
-// is an exclusive create, renewals and steals replace the file through the
-// atomic-write helper, and steals additionally serialize through an
-// exclusive-create steal lock so two stealers cannot both win. A crashed
+// publishes a finished record with a non-clobbering link, renewals and
+// steals replace the file through the atomic-write helper, and steals
+// additionally serialize through an exclusive-create steal lock so two
+// stealers cannot both win. A crashed
 // holder is healed by expiry: once the TTL passes without a renewal, any
 // handle may steal the lease, bumping the epoch so the old holder's writes
 // are fenceable.
@@ -226,8 +227,12 @@ func (l *Lease) Release() error {
 	return l.writeLocked(LeaseInfo{Epoch: l.epoch})
 }
 
-// createLocked acquires a lease that has never existed via exclusive
-// create — two racing handles cannot both win O_EXCL.
+// createLocked acquires a lease that has never existed. The record is
+// written and fsynced under a private temp name first and only then
+// published at the lease path with a non-clobbering link, so the path goes
+// from absent to a complete record in one step: two racing creators cannot
+// both link, and a racer can never read a half-written (empty) record and
+// mistake the live lease for a corrupt one to steal.
 func (l *Lease) createLocked(now time.Time) (bool, error) {
 	info := LeaseInfo{
 		Owner: l.owner, Epoch: 1,
@@ -237,29 +242,32 @@ func (l *Lease) createLocked(now time.Time) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	f, err := l.fs.OpenFile(l.path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	dir := filepath.Dir(l.path)
+	f, err := l.fs.CreateTemp(dir, filepath.Base(l.path)+".new-*")
 	if err != nil {
-		if os.IsExist(err) {
-			return false, nil
-		}
 		return false, fmt.Errorf("registry: lease create: %w", err)
 	}
-	_, werr := f.Write(payload)
-	if werr == nil {
-		werr = f.Sync()
+	tmp := f.Name()
+	_, err = f.Write(payload)
+	if err == nil {
+		err = f.Sync()
 	}
-	if werr != nil {
-		f.Close()
-		// Unlink the partial record and make the unlink durable: a crash
-		// right after this return must not resurrect a torn lease file.
-		l.fs.Remove(l.path)
-		l.fs.SyncDir(filepath.Dir(l.path))
-		return false, fmt.Errorf("registry: lease create: %w", werr)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		return false, err
+	if err == nil {
+		err = l.fs.Link(tmp, l.path)
 	}
-	if err := l.fs.SyncDir(filepath.Dir(l.path)); err != nil {
+	// The temp name goes either way; the directory fsync below makes the
+	// link and this unlink durable together.
+	l.fs.Remove(tmp)
+	if os.IsExist(err) {
+		return false, nil // lost the create race
+	}
+	if err != nil {
+		return false, fmt.Errorf("registry: lease create: %w", err)
+	}
+	if err := l.fs.SyncDir(dir); err != nil {
 		return false, err
 	}
 	l.held, l.epoch = true, info.Epoch

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -18,8 +19,10 @@ import (
 	"cdbtune/internal/vfs"
 )
 
-// entryMagic tags the CRC32 integrity footer of every registry entry.
-var entryMagic = [4]byte{'r', 'e', 'g', '1'}
+// entryMagic tags the CRC32 integrity footer of every registry entry. reg1
+// framed one gob of {Meta, Model}; a file still in that format fails the
+// footer check and is skipped as corrupt.
+var entryMagic = [4]byte{'r', 'e', 'g', '2'}
 
 // DefaultMaxEntries bounds the collection when Open is not told otherwise.
 const DefaultMaxEntries = 64
@@ -59,7 +62,9 @@ type Meta struct {
 	Seq int64
 }
 
-// entryBlob is the on-disk format inside the CRC frame.
+// entryBlob is one decoded entry file. On disk, inside the CRC frame: a
+// u32 little-endian length, that many bytes of gob-encoded Meta, then the
+// model bytes exactly as Put received them, up to the footer.
 type entryBlob struct {
 	Meta  Meta
 	Model []byte
@@ -560,34 +565,60 @@ func (r *Registry) noteCorrupt(file string, err error) {
 	r.logf("registry: skipping corrupt entry %s: %v", file, err)
 }
 
-// writeLocked persists one entry atomically with the CRC frame.
+// writeLocked persists one entry atomically, streaming the frame — meta
+// header, the caller's model bytes as they are, CRC footer — through the
+// checksumming writer into the temp file.
 func (r *Registry) writeLocked(meta Meta, model []byte) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(entryBlob{Meta: meta, Model: model}); err != nil {
+	var head bytes.Buffer
+	head.Write(make([]byte, 4)) // the gob length, known once it is encoded
+	if err := gob.NewEncoder(&head).Encode(meta); err != nil {
 		return fmt.Errorf("registry: encode %q: %w", meta.ID, err)
 	}
+	binary.LittleEndian.PutUint32(head.Bytes(), uint32(head.Len()-4))
 	return nn.WriteAtomicFS(r.fs, r.path(meta.ID), func(w io.Writer) error {
-		return core.WriteFramed(w, buf.Bytes(), entryMagic)
+		f := core.NewFrameWriter(w)
+		if _, err := f.Write(head.Bytes()); err != nil {
+			return err
+		}
+		if _, err := f.Write(model); err != nil {
+			return err
+		}
+		return f.Finish(entryMagic)
 	})
 }
 
 // readEntry reads and verifies one entry file.
 func readEntry(fsys vfs.FS, path string) (entryBlob, error) {
-	var blob entryBlob
 	data, err := fsys.ReadFile(path)
 	if err != nil {
-		return blob, err
+		return entryBlob{}, err
 	}
+	return decodeEntry(data)
+}
+
+// decodeEntry verifies an entry file's CRC frame and splits it. The model
+// is handed back as a sub-slice of data, not a copy.
+func decodeEntry(data []byte) (entryBlob, error) {
+	var blob entryBlob
 	payload, err := core.ReadFramed(data, entryMagic, "registry entry")
 	if err != nil {
 		return blob, err
 	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&blob); err != nil {
-		return blob, fmt.Errorf("registry entry: decode: %w", err)
+	if len(payload) < 4 {
+		return blob, fmt.Errorf("registry entry: %d-byte payload has no meta header", len(payload))
+	}
+	n := binary.LittleEndian.Uint32(payload)
+	payload = payload[4:]
+	if uint64(n) >= uint64(len(payload)) {
+		return blob, fmt.Errorf("registry entry: meta header declares %d bytes, %d remain for it and the model", n, len(payload))
+	}
+	if err := gob.NewDecoder(bytes.NewReader(payload[:n])).Decode(&blob.Meta); err != nil {
+		return blob, fmt.Errorf("registry entry: decode meta: %w", err)
 	}
 	if blob.Meta.ID == "" {
 		return blob, fmt.Errorf("registry entry: blank ID")
 	}
+	blob.Model = payload[n:]
 	return blob, nil
 }
 

@@ -1,7 +1,6 @@
 package ddpg
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
@@ -615,15 +614,32 @@ func (a *Agent) QValue(state, action []float64) float64 {
 
 // Save serializes actor, critic, their targets, and the remembered best
 // configuration (the self-imitation target that also seeds online
-// recommendations).
+// recommendations) as one nn tensor list: the four networks in networks()
+// order, then the target when there is one.
 func (a *Agent) Save(w io.Writer) error {
+	var ts [][]float64
 	for _, n := range a.networks() {
-		if err := n.Save(w); err != nil {
-			return fmt.Errorf("ddpg: save: %w", err)
-		}
+		ts = append(ts, n.Tensors()...)
 	}
-	if err := gob.NewEncoder(w).Encode(agentExtras{BCTarget: a.bcTarget}); err != nil {
-		return fmt.Errorf("ddpg: save extras: %w", err)
+	return writeModel(w, ts, a.bcTarget)
+}
+
+// Save serializes the snapshot in the format Agent.Save writes, so either
+// loads through Agent.Load or Agent.ReadSnapshot.
+func (s *WeightSnapshot) Save(w io.Writer) error {
+	var ts [][]float64
+	for _, st := range s.nets {
+		ts = append(ts, st.Tensors()...)
+	}
+	return writeModel(w, ts, s.bcTarget)
+}
+
+func writeModel(w io.Writer, nets [][]float64, bcTarget []float64) error {
+	if len(bcTarget) > 0 {
+		nets = append(nets, bcTarget)
+	}
+	if err := nn.WriteTensors(w, nets); err != nil {
+		return fmt.Errorf("ddpg: save: %w", err)
 	}
 	return nil
 }
@@ -631,56 +647,50 @@ func (a *Agent) Save(w io.Writer) error {
 // netNames labels the networks in Save/Load order for error messages.
 var netNames = [...]string{"actor", "actor target", "critic", "critic target"}
 
-// Load restores state previously written by Save into an agent built with
-// the same Config. Everything is decoded and validated before any weight
-// is touched: each network's layer dimensions must match the architecture
-// Config builds, every weight and BatchNorm statistic must be finite, and
-// a stored self-imitation target must fit ActionDim. A corrupt or
-// mismatched model is rejected with a descriptive error and the agent is
-// left exactly as it was.
-func (a *Agent) Load(r io.Reader) error {
-	nets := a.networks()
-	states := make([]*nn.NetworkState, len(nets))
-	for i := range nets {
-		st, err := nn.ReadState(r)
+// ReadSnapshot decodes a model written by Save and validates it against
+// this agent without touching it: each network's layer dimensions must
+// match the architecture Config builds, every weight and BatchNorm
+// statistic must be finite, and a stored self-imitation target must fit
+// ActionDim.
+func (a *Agent) ReadSnapshot(r io.Reader) (*WeightSnapshot, error) {
+	ts, err := nn.ReadTensors(r)
+	if err != nil {
+		return nil, fmt.Errorf("ddpg: load: %w", err)
+	}
+	s := &WeightSnapshot{}
+	for i, n := range a.networks() {
+		st, rest, err := n.TakeState(ts)
 		if err != nil {
-			return fmt.Errorf("ddpg: load %s: %w", netNames[i], err)
+			return nil, fmt.Errorf("ddpg: load %s: model does not match Config: %w", netNames[i], err)
 		}
-		states[i] = st
+		s.nets, ts = append(s.nets, st), rest
 	}
-	var ex agentExtras
-	if err := gob.NewDecoder(r).Decode(&ex); err != nil {
-		return fmt.Errorf("ddpg: load extras: %w", err)
+	switch len(ts) {
+	case 0:
+	case 1:
+		s.bcTarget = ts[0]
+	default:
+		return nil, fmt.Errorf("ddpg: load: %d tensors after the best-action target", len(ts)-1)
 	}
-	for i, st := range states {
-		if err := nets[i].CheckState(st); err != nil {
-			return fmt.Errorf("ddpg: load %s: model does not match Config (state %d, action %d): %w",
-				netNames[i], a.cfg.StateDim, a.cfg.ActionDim, err)
-		}
-		if err := st.Finite(); err != nil {
-			return fmt.Errorf("ddpg: load %s: corrupt model: %w", netNames[i], err)
-		}
+	if err := a.checkSnapshot(s); err != nil {
+		return nil, fmt.Errorf("ddpg: load: model does not match Config (state %d, action %d): %w",
+			a.cfg.StateDim, a.cfg.ActionDim, err)
 	}
-	if ex.BCTarget != nil {
-		if len(ex.BCTarget) != a.cfg.ActionDim {
-			return fmt.Errorf("ddpg: load extras: best-action target has %d dims, want %d", len(ex.BCTarget), a.cfg.ActionDim)
-		}
-		for _, v := range ex.BCTarget {
-			if !finite(v) {
-				return fmt.Errorf("ddpg: load extras: best-action target contains non-finite value %v", v)
-			}
-		}
+	if err := s.Finite(); err != nil {
+		return nil, fmt.Errorf("ddpg: load: corrupt model: %w", err)
 	}
-	for i, st := range states {
-		if err := nets[i].SetState(st); err != nil {
-			return fmt.Errorf("ddpg: load %s: %w", netNames[i], err)
-		}
-	}
-	a.bcTarget = ex.BCTarget
-	return nil
+	return s, nil
 }
 
-// agentExtras is the non-network agent state included in Save/Load.
-type agentExtras struct {
-	BCTarget []float64
+// Load restores state previously written by Save into an agent built with
+// the same Config. Everything is decoded and validated (see ReadSnapshot)
+// before any weight is touched: a corrupt or mismatched model is rejected
+// with a descriptive error and the agent is left exactly as it was. The
+// optimizers' moments are not reset.
+func (a *Agent) Load(r io.Reader) error {
+	s, err := a.ReadSnapshot(r)
+	if err != nil {
+		return err
+	}
+	return a.SetWeights(s)
 }

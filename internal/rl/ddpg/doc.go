@@ -15,7 +15,11 @@
 //   - Act, ActBatch, ActNoisy, ActNoisyFrom, Perturb (rng and/or network
 //     reads that race with parameter updates)
 //   - TrainStep, TrainStepInfo (parameter updates)
-//   - Save, Load, SetBCTarget, BCTarget, QValue
+//   - Save, Load, ReadSnapshot, Snapshot, SetWeights, Restore,
+//     SetBCTarget, BCTarget, QValue
+//
+// A WeightSnapshot, once taken or decoded, is never written again: it may
+// be read (Save, Finite) without the lock.
 //
 // Observe is the one exception, and only conditionally: it does nothing
 // but Memory.Add, so when the agent was built with Config.MemoryShards

@@ -9,8 +9,9 @@ import (
 // WeightSnapshot is a cheap in-memory copy of the agent's learnable state:
 // the four networks' parameters and BatchNorm statistics plus the
 // self-imitation target. It is what the learner-health supervisor rolls
-// back to on divergence — no serialization, just slice copies, so taking
-// one on a healthy cadence costs microseconds, not a disk round-trip.
+// back to on divergence and what core keeps as the best policy seen so far
+// — no serialization, just slice copies, so taking one on a healthy
+// cadence costs a memcpy, not an encode or a disk round-trip.
 type WeightSnapshot struct {
 	nets     []*nn.NetworkState
 	bcTarget []float64
@@ -29,29 +30,68 @@ func (a *Agent) Snapshot() *WeightSnapshot {
 	return s
 }
 
-// Restore rolls the agent's weights back to a snapshot taken from this
-// agent (or one with an identical Config) and resets both optimizers'
-// Adam moments — moments estimated on the diverged trajectory would push
-// the restored weights straight back toward the divergence. The replay
-// memory, train-step counter and noise process are left untouched.
-func (a *Agent) Restore(s *WeightSnapshot) error {
+// checkSnapshot verifies that s is shape-compatible with the agent without
+// modifying anything.
+func (a *Agent) checkSnapshot(s *WeightSnapshot) error {
 	nets := a.networks()
 	if len(s.nets) != len(nets) {
-		return fmt.Errorf("ddpg: snapshot has %d networks, want %d", len(s.nets), len(nets))
+		return fmt.Errorf("snapshot has %d networks, want %d", len(s.nets), len(nets))
 	}
 	for i, n := range nets {
 		if err := n.CheckState(s.nets[i]); err != nil {
-			return fmt.Errorf("ddpg: restore snapshot: %w", err)
+			return fmt.Errorf("%s: %w", netNames[i], err)
 		}
 	}
-	for i, n := range nets {
+	if s.bcTarget != nil && len(s.bcTarget) != a.cfg.ActionDim {
+		return fmt.Errorf("best-action target has %d dims, want %d", len(s.bcTarget), a.cfg.ActionDim)
+	}
+	return nil
+}
+
+// Finite returns a descriptive error if any weight, BatchNorm statistic or
+// best-action value in the snapshot is NaN or infinite.
+func (s *WeightSnapshot) Finite() error {
+	for i, st := range s.nets {
+		if err := st.Finite(); err != nil {
+			return fmt.Errorf("%s: %w", netNames[i], err)
+		}
+	}
+	for _, v := range s.bcTarget {
+		if !finite(v) {
+			return fmt.Errorf("best-action target contains non-finite value %v", v)
+		}
+	}
+	return nil
+}
+
+// SetWeights copies a snapshot taken from this agent (or one with an
+// identical Config) into the agent's networks and self-imitation target,
+// checking every shape before touching anything. The optimizers' Adam
+// moments, the replay memory, the train-step counter and the noise process
+// are left untouched — this is Load without the decoding.
+func (a *Agent) SetWeights(s *WeightSnapshot) error {
+	if err := a.checkSnapshot(s); err != nil {
+		return fmt.Errorf("ddpg: set weights: %w", err)
+	}
+	for i, n := range a.networks() {
 		if err := n.SetState(s.nets[i]); err != nil {
-			return fmt.Errorf("ddpg: restore snapshot: %w", err)
+			return fmt.Errorf("ddpg: set weights: %w", err)
 		}
 	}
 	a.bcTarget = nil
 	if s.bcTarget != nil {
 		a.bcTarget = append([]float64(nil), s.bcTarget...)
+	}
+	return nil
+}
+
+// Restore is SetWeights for a divergence rollback: it additionally resets
+// both optimizers' Adam moments — moments estimated on the diverged
+// trajectory would push the restored weights straight back toward the
+// divergence.
+func (a *Agent) Restore(s *WeightSnapshot) error {
+	if err := a.SetWeights(s); err != nil {
+		return err
 	}
 	a.actorOpt.Reset()
 	a.criticOpt.Reset()

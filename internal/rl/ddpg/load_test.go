@@ -49,8 +49,8 @@ func TestLoadRejectsMismatchedDimensions(t *testing.T) {
 }
 
 // TestLoadRejectsNonFiniteWeights: a saved model carrying NaN/Inf weights
-// (a divergence that escaped to disk, or on-disk corruption that survived
-// gob) is rejected with a descriptive error before any weight is applied.
+// (a divergence that escaped to disk, or on-disk corruption that still
+// decodes) is rejected with a descriptive error before any weight is applied.
 func TestLoadRejectsNonFiniteWeights(t *testing.T) {
 	src := New(loadTestConfig())
 	// Poison one actor weight, then save.

@@ -51,7 +51,7 @@ func NewUniformMemory(capacity int) *UniformMemory {
 	if capacity <= 0 {
 		panic("rl: memory capacity must be positive")
 	}
-	return &UniformMemory{capacity: capacity, buf: make([]Transition, 0, capacity)}
+	return &UniformMemory{capacity: capacity} // buf grows with the pool, like PrioritizedMemory.data
 }
 
 // Add implements Memory.
@@ -104,8 +104,8 @@ type PrioritizedMemory struct {
 	beta     float64
 	eps      float64
 
-	tree  []float64 // binary sum tree over leaf priorities
-	data  []Transition
+	tree  []float64    // binary sum tree over leaf priorities
+	data  []Transition // len ≤ capacity, grown by Add
 	next  int
 	size  int
 	maxPr float64
@@ -123,7 +123,6 @@ func NewPrioritizedMemory(capacity int) *PrioritizedMemory {
 		beta:     0.4,
 		eps:      1e-3,
 		tree:     make([]float64, 2*capacity),
-		data:     make([]Transition, capacity),
 		maxPr:    1,
 	}
 }
@@ -152,7 +151,14 @@ func (m *PrioritizedMemory) find(v float64) int {
 
 // Add implements Memory.
 func (m *PrioritizedMemory) Add(t Transition) {
-	m.data[m.next] = t
+	// data grows with the pool up to capacity (the sum tree is fixed-size):
+	// a serving session stores a few dozen transitions, and zero-filling
+	// capacity slots up front would be most of what building its agent costs.
+	if m.next == len(m.data) {
+		m.data = append(m.data, t)
+	} else {
+		m.data[m.next] = t
+	}
 	m.setPriority(m.next, m.maxPr)
 	m.next = (m.next + 1) % m.capacity
 	if m.size < m.capacity {

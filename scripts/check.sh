@@ -98,6 +98,11 @@ echo "== fuzz smoke =="
 # configuration files: no panic, every value inside its knob's range, and
 # FormatConfig -> ParseConfig round-trips, for every engine catalog.
 go test -run '^$' -fuzz '^FuzzParseConfig$' -fuzztime 5s ./internal/knobs/
+# ...and on the two decoders of on-disk model bytes: Agent.Load (no panic,
+# allocation within a small multiple of the input, the agent untouched on
+# error) and the registry entry frame.
+go test -run '^$' -fuzz '^FuzzAgentLoad$' -fuzztime 5s ./internal/rl/ddpg/
+go test -run '^$' -fuzz '^FuzzReadEntry$' -fuzztime 5s ./internal/registry/
 
 echo "== go test -race (short) =="
 go test -race -short -shuffle=on -timeout 20m ./...
