@@ -266,7 +266,7 @@ func newBenchAgent() *ddpg.Agent {
 	return agent
 }
 
-// measureEpisodesPerSec times a short serial OfflineTrain run against
+// measureEpisodesPerSec times a short serial OfflineTrainOpts run against
 // the simulated CDB-A instance with the full MySQL knob catalog.
 func measureEpisodesPerSec(episodes int) float64 {
 	cat := knobs.MySQL(knobs.EngineCDB)
@@ -282,7 +282,7 @@ func measureEpisodesPerSec(episodes int) float64 {
 		return env.New(db, cat, w)
 	}
 	start := time.Now()
-	if _, err := tuner.OfflineTrain(mkEnv, episodes); err != nil {
+	if _, err := tuner.OfflineTrainOpts(mkEnv, core.TrainOptions{Episodes: episodes}); err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: episodes bench: %v\n", err)
 		return 0
 	}

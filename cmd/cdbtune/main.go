@@ -180,7 +180,6 @@ func cmdTrain(args []string) error {
 		Episodes: *episodes,
 		Workers:  *workers,
 		Resume:   *resume,
-		Deadline: *deadline,
 		Supervisor: core.SupervisorConfig{
 			Disabled:   *noSupervisor,
 			HealBudget: *healBudget,
@@ -196,6 +195,11 @@ func cmdTrain(args []string) error {
 		if !*quiet {
 			fmt.Printf("  %s\n", s)
 		}
+	}
+	if *deadline > 0 {
+		ctx, cancel := context.WithTimeout(context.Background(), *deadline)
+		defer cancel()
+		opts.Ctx = ctx
 	}
 	rep, err := tuner.OfflineTrainOpts(mk, opts)
 	var dErr *core.DivergenceError
@@ -311,7 +315,7 @@ func cmdTune(args []string) error {
 	// repeated failures and steers recommendations away from knob regions
 	// that crashed the instance — a no-op on a healthy run.
 	guard := core.NewGuardrail(0, 0)
-	res, err := tuner.OnlineTuneGuarded(e, *steps, true, guard)
+	res, err := tuner.OnlineTune(context.Background(), e, core.TuneOptions{Steps: *steps, FineTune: true, Guard: guard})
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,9 +27,9 @@ func train(cat *knobs.Catalog, inst simdb.Instance, w workload.Workload, seed in
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, err = tuner.OfflineTrain(func(ep int) *env.Env {
+	_, err = tuner.OfflineTrainOpts(func(ep int) *env.Env {
 		return env.New(simdb.New(knobs.EngineCDB, inst, seed+int64(ep)), cat, w)
-	}, 25)
+	}, core.TrainOptions{Episodes: 25})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func main() {
 
 	report := func(name string, t *core.Tuner, seed int64) {
 		e := env.New(simdb.New(knobs.EngineCDB, big, seed), cat, w)
-		res, err := t.OnlineTune(e, 5, true)
+		res, err := t.OnlineTune(context.Background(), e, core.TuneOptions{Steps: 5, FineTune: true})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -56,13 +57,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if _, err := tuner.OfflineTrain(func(ep int) *env.Env {
+		if _, err := tuner.OfflineTrainOpts(func(ep int) *env.Env {
 			return env.New(env.OpenEngine(c.engine, c.inst, seed+10+int64(ep)), cat, c.w)
-		}, 25); err != nil {
+		}, core.TrainOptions{Episodes: 25}); err != nil {
 			log.Fatal(err)
 		}
 		e2 := env.New(env.OpenEngine(c.engine, c.inst, seed+99), cat, c.w)
-		res, err := tuner.OnlineTune(e2, 5, true)
+		res, err := tuner.OnlineTune(context.Background(), e2, core.TuneOptions{Steps: 5, FineTune: true})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -42,7 +43,7 @@ func main() {
 	rep, err := ctl.HandleTrainingRequest(func(ep int) *env.Env {
 		db := simdb.New(knobs.EngineCDB, simdb.CDBA, int64(ep))
 		return env.New(db, cat, workload.SysbenchRW())
-	}, 25, 1)
+	}, core.TrainOptions{Episodes: 25})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func main() {
 	//    workload the model has never seen verbatim.
 	fmt.Println("[controller] user tuning request received; capturing 150 s of workload ...")
 	userDB := simdb.New(knobs.EngineCDB, simdb.CDBA, 777)
-	res, err := ctl.HandleTuningRequest(userDB, workload.SysbenchRW())
+	res, err := ctl.HandleTuningRequestCtx(context.Background(), userDB, workload.SysbenchRW())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func main() {
 		res.Replayed.ReadFraction*100, res.Replayed.Threads)
 	fmt.Printf("[controller] recommendation: %.0f → %.0f txn/sec (%+.0f%%), latency %.0f → %.0f ms\n",
 		res.Initial.Throughput, res.BestPerf.Throughput,
-		(res.BestPerf.Throughput/res.Initial.Throughput-1)*100,
+		res.Improvement*100,
 		res.Initial.Latency99, res.BestPerf.Latency99)
 	if !res.Approved {
 		fmt.Println("[controller] license DENIED (below +10% threshold); instance rolled back")

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,7 +37,7 @@ func main() {
 		return env.New(db, cat, w)
 	}
 	fmt.Println("offline training (30 episodes on CDB-A, sysbench-rw)...")
-	rep, err := tuner.OfflineTrain(mkEnv, 30)
+	rep, err := tuner.OfflineTrainOpts(mkEnv, core.TrainOptions{Episodes: 30})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func main() {
 	// Online tuning: a user's request arrives; replay their workload and
 	// recommend within 5 steps (§2.1.2).
 	user := env.New(simdb.New(knobs.EngineCDB, simdb.CDBA, 12345), cat, w)
-	res, err := tuner.OnlineTune(user, 5, true)
+	res, err := tuner.OnlineTune(context.Background(), user, core.TuneOptions{Steps: 5, FineTune: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -39,14 +40,14 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := tuner.OfflineTrain(func(ep int) *env.Env {
+		rep, err := tuner.OfflineTrainOpts(func(ep int) *env.Env {
 			return env.New(simdb.New(knobs.EngineCDB, simdb.CDBA, int64(100+ep)), cat, w)
-		}, 20)
+		}, core.TrainOptions{Episodes: 20})
 		if err != nil {
 			log.Fatal(err)
 		}
 		e := env.New(simdb.New(knobs.EngineCDB, simdb.CDBA, 999), cat, w)
-		res, err := tuner.OnlineTune(e, 5, true)
+		res, err := tuner.OnlineTune(context.Background(), e, core.TuneOptions{Steps: 5, FineTune: true})
 		if err != nil {
 			log.Fatal(err)
 		}

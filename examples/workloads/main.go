@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -77,12 +78,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if _, err := tuner.OfflineTrain(func(ep int) *env.Env {
+		if _, err := tuner.OfflineTrainOpts(func(ep int) *env.Env {
 			return mkEnv(cat, w, seed+10+int64(ep))
-		}, 20); err != nil {
+		}, core.TrainOptions{Episodes: 20}); err != nil {
 			log.Fatal(err)
 		}
-		tres, err := tuner.OnlineTune(mkEnv(cat, w, seed+90), 5, true)
+		tres, err := tuner.OnlineTune(context.Background(), mkEnv(cat, w, seed+90), core.TuneOptions{Steps: 5, FineTune: true})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -21,7 +22,7 @@ func TestTuningRequestSurvivesCrashStorm(t *testing.T) {
 		db := simdb.New(knobs.EngineCDB, simdb.CDBA, int64(200+ep))
 		return env.New(db, cat, workload.SysbenchRW())
 	}
-	if _, err := tn.OfflineTrain(mk, 3); err != nil {
+	if _, err := tn.OfflineTrainOpts(mk, core.TrainOptions{Episodes: 3}); err != nil {
 		t.Fatal(err)
 	}
 	c, err := New(Config{Tuner: tn, Seed: 1, GuardK: 2})
@@ -35,7 +36,7 @@ func TestTuningRequestSurvivesCrashStorm(t *testing.T) {
 	db := simdb.New(knobs.EngineCDB, simdb.CDBA, 888)
 	before := db.CurrentKnobs(cat)
 
-	res, err := c.HandleTuningRequest(in.Wrap(db), workload.SysbenchRW())
+	res, err := c.HandleTuningRequestCtx(context.Background(), in.Wrap(db), workload.SysbenchRW())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,12 +88,12 @@ func TestChaosSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.HandleTrainingRequestOpts(mk, core.TrainOptions{
+	if _, err := c.HandleTrainingRequest(mk, core.TrainOptions{
 		Episodes: killAfter, Workers: 2, Checkpoint: ck,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := c.HandleTrainingRequestOpts(mk, core.TrainOptions{
+	rep, err := c.HandleTrainingRequest(mk, core.TrainOptions{
 		Episodes: episodes, Workers: 2, Checkpoint: ck, Resume: true,
 	})
 	if err != nil {
@@ -108,7 +109,7 @@ func TestChaosSmoke(t *testing.T) {
 
 	// Serve a tuning request against a chaotic instance.
 	db := simdb.New(knobs.EngineCDB, simdb.CDBA, 777)
-	res, err := c.HandleTuningRequest(in.Wrap(db), w)
+	res, err := c.HandleTuningRequestCtx(context.Background(), in.Wrap(db), w)
 	if err != nil {
 		t.Fatal(err)
 	}

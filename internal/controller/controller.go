@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"sync"
 
@@ -125,23 +124,24 @@ type RequestResult struct {
 	// Values are the recommended actual knob values (aligned with the
 	// tuner's catalog).
 	Values []float64
+	// Improvement is the relative throughput gain of the best measured
+	// configuration over the request's baseline (0.1 = +10 %), the figure
+	// the Approver judged; 0 when the baseline measured no throughput.
+	Improvement float64
 }
 
-// HandleTuningRequest serves one user tuning request against the user's
-// database instance: capture, replay, tune, license, deploy-or-rollback.
-// The tuning loop runs under the controller's safety guardrail, so a
-// faulty instance (crashes, transient measurement failures) is reverted to
-// its best-known-good configuration rather than left on a bad one. db is
-// any measurement target satisfying env.Database — the simulator directly,
-// or a chaos-wrapped instance in resilience tests.
-func (c *Controller) HandleTuningRequest(db env.Database, userWorkload workload.Workload) (RequestResult, error) {
-	return c.HandleTuningRequestCtx(context.Background(), db, userWorkload)
-}
-
-// HandleTuningRequestCtx is HandleTuningRequest under a context. A
-// cancelled or past-deadline ctx abandons the request promptly: the tuning
-// loop stops recommending, and because the license step never ran the
-// instance is rolled back to its pre-request configuration before the
+// HandleTuningRequestCtx serves one user tuning request (§2.1.2; the
+// suffix is a name the benchmark pins) against the user's database
+// instance: capture, replay, tune, license, deploy-or-rollback. The tuning
+// loop runs under the controller's safety guardrail, so a faulty instance
+// (crashes, transient measurement failures) is reverted to its
+// best-known-good configuration rather than left on a bad one. db is any
+// measurement target satisfying env.Database — the simulator directly, or
+// a chaos-wrapped instance in resilience tests.
+//
+// A cancelled or past-deadline ctx abandons the request promptly: the
+// tuning loop stops recommending, and because the license step never ran
+// the instance is rolled back to its pre-request configuration before the
 // context's error is returned (with valid partial accounting in the
 // result).
 func (c *Controller) HandleTuningRequestCtx(ctx context.Context, db env.Database, userWorkload workload.Workload) (RequestResult, error) {
@@ -165,7 +165,7 @@ func (c *Controller) HandleTuningRequestCtx(ctx context.Context, db env.Database
 	before := db.CurrentKnobs(cat)
 
 	e := env.New(db, cat, replayed)
-	res, err := c.cfg.Tuner.OnlineTuneCtx(ctx, e, c.cfg.OnlineSteps, true, c.guard)
+	res, err := c.cfg.Tuner.OnlineTune(ctx, e, core.TuneOptions{Steps: c.cfg.OnlineSteps, FineTune: true, Guard: c.guard})
 	out.TuneResult = res
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -181,8 +181,10 @@ func (c *Controller) HandleTuningRequestCtx(ctx context.Context, db env.Database
 
 	hw := db.Instance().HW
 	out.Values = cat.Denormalize(res.Best, hw.RAMGB, hw.DiskGB)
-	improvement := res.BestPerf.Throughput/res.Initial.Throughput - 1
-	out.Approved = c.cfg.Approver.Approve(cat, out.Values, improvement)
+	if res.Initial.Throughput > 0 {
+		out.Improvement = res.BestPerf.Throughput/res.Initial.Throughput - 1
+	}
+	out.Approved = c.cfg.Approver.Approve(cat, out.Values, out.Improvement)
 	if !out.Approved {
 		if err := applyWithRetry(db, cat, before); err != nil {
 			return out, fmt.Errorf("controller: rolling back: %w", err)
@@ -207,21 +209,11 @@ func applyWithRetry(db env.Database, cat *knobs.Catalog, values []float64) error
 	return err
 }
 
-// HandleTrainingRequest serves a DBA training request: offline training
-// with the workload generator's standard workloads, optionally across
-// parallel training instances (§5.1's 30-server setup). The unified
-// trainer handles any worker count, serial included.
-func (c *Controller) HandleTrainingRequest(mkEnv core.EnvFactory, episodes, workers int) (core.TrainReport, error) {
-	return c.cfg.Tuner.OfflineTrainParallel(mkEnv, episodes, workers)
-}
-
-// HandleTrainingRequestOpts is HandleTrainingRequest with the full option
-// set — checkpoint/resume, worker-respawn budget, telemetry hooks.
-func (c *Controller) HandleTrainingRequestOpts(mkEnv core.EnvFactory, opts core.TrainOptions) (core.TrainReport, error) {
+// HandleTrainingRequest serves a DBA training request (§2.1.1): offline
+// training with the workload generator's standard workloads, optionally
+// across parallel training instances (§5.1's 30-server setup), with
+// whatever checkpoint/resume, respawn budget and telemetry hooks opts
+// carries.
+func (c *Controller) HandleTrainingRequest(mkEnv core.EnvFactory, opts core.TrainOptions) (core.TrainReport, error) {
 	return c.cfg.Tuner.OfflineTrainOpts(mkEnv, opts)
 }
-
-// SaveModel and LoadModel persist the tuning model across controller
-// restarts.
-func (c *Controller) SaveModel(w io.Writer) error { return c.cfg.Tuner.Save(w) }
-func (c *Controller) LoadModel(r io.Reader) error { return c.cfg.Tuner.Load(r) }

@@ -2,6 +2,8 @@ package controller
 
 import (
 	"bytes"
+	"context"
+	"math"
 	"testing"
 
 	"cdbtune/internal/core"
@@ -56,7 +58,7 @@ func TestTuningRequestEndToEnd(t *testing.T) {
 		db := simdb.New(knobs.EngineCDB, simdb.CDBA, int64(100+ep))
 		return env.New(db, cat, workload.SysbenchRW())
 	}
-	if _, err := tn.OfflineTrain(mk, 4); err != nil {
+	if _, err := tn.OfflineTrainOpts(mk, core.TrainOptions{Episodes: 4}); err != nil {
 		t.Fatal(err)
 	}
 	c, err := New(Config{Tuner: tn, Seed: 1})
@@ -64,7 +66,7 @@ func TestTuningRequestEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := simdb.New(knobs.EngineCDB, simdb.CDBA, 999)
-	res, err := c.HandleTuningRequest(db, workload.SysbenchRW())
+	res, err := c.HandleTuningRequestCtx(context.Background(), db, workload.SysbenchRW())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +97,7 @@ func TestRejectionRollsBack(t *testing.T) {
 	db := simdb.New(knobs.EngineCDB, simdb.CDBA, 42)
 	hw := db.Instance().HW
 	before := cat.Denormalize(db.CurrentKnobs(cat), hw.RAMGB, hw.DiskGB)
-	res, err := c.HandleTuningRequest(db, workload.TPCC())
+	res, err := c.HandleTuningRequestCtx(context.Background(), db, workload.TPCC())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +132,7 @@ func TestTrainingRequest(t *testing.T) {
 		db := simdb.New(knobs.EngineCDB, simdb.CDBA, int64(500+ep))
 		return env.New(db, cat, workload.SysbenchWO())
 	}
-	rep, err := c.HandleTrainingRequest(mk, 3, 1)
+	rep, err := c.HandleTrainingRequest(mk, core.TrainOptions{Episodes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +140,7 @@ func TestTrainingRequest(t *testing.T) {
 		t.Fatalf("Episodes = %d", rep.Episodes)
 	}
 	// Parallel path.
-	rep, err = c.HandleTrainingRequest(mk, 4, 2)
+	rep, err = c.HandleTrainingRequest(mk, core.TrainOptions{Episodes: 4, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,14 +149,17 @@ func TestTrainingRequest(t *testing.T) {
 	}
 }
 
+// TestModelPersistence round-trips the model across a controller restart:
+// the second controller's tuner loads what the first one's saved, and both
+// then serve the same request identically.
 func TestModelPersistence(t *testing.T) {
-	tn, cat := testTuner(t)
+	tn, _ := testTuner(t)
 	c, err := New(Config{Tuner: tn})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := c.SaveModel(&buf); err != nil {
+	if err := tn.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	tn2, _ := testTuner(t)
@@ -162,7 +167,7 @@ func TestModelPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c2.LoadModel(&buf); err != nil {
+	if err := tn2.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
 	s := make([]float64, metrics.NumMetrics)
@@ -172,5 +177,59 @@ func TestModelPersistence(t *testing.T) {
 			t.Fatal("model differs after reload")
 		}
 	}
-	_ = cat
+	serve := func(c *Controller) RequestResult {
+		res, err := c.HandleTuningRequestCtx(context.Background(), simdb.New(knobs.EngineCDB, simdb.CDBA, 31), workload.SysbenchRW())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	r1, r2 := serve(c), serve(c2)
+	if r1.BestPerf != r2.BestPerf || r1.Improvement != r2.Improvement {
+		t.Fatalf("restarted controller serves differently: %+v vs %+v", r1.BestPerf, r2.BestPerf)
+	}
+}
+
+// zeroDB is an instance whose stress tests measure no throughput at all.
+type zeroDB struct{ env.Database }
+
+func (d zeroDB) RunWorkload(w workload.Workload, sec float64) (simdb.Result, error) {
+	res, err := d.Database.RunWorkload(w, sec)
+	res.Ext.Throughput = 0
+	return res, err
+}
+
+// spyApprover records the improvement the license step was shown.
+type spyApprover struct {
+	ThresholdApprover
+	saw *float64
+}
+
+func (a spyApprover) Approve(cat *knobs.Catalog, values []float64, improvement float64) bool {
+	*a.saw = improvement
+	return a.ThresholdApprover.Approve(cat, values, improvement)
+}
+
+// TestImprovementGuardsZeroBaseline pins the one place the relative
+// improvement is computed: a baseline of 0 tx/s must reach the Approver
+// (and RequestResult.Improvement) as 0, not as the ±Inf/NaN of a division
+// by zero — +Inf would sail past every ThresholdApprover.
+func TestImprovementGuardsZeroBaseline(t *testing.T) {
+	tn, _ := testTuner(t)
+	saw := math.NaN()
+	c, err := New(Config{Tuner: tn, Approver: spyApprover{ThresholdApprover{MinImprovement: 0.05}, &saw}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := zeroDB{simdb.New(knobs.EngineCDB, simdb.CDBA, 41)}
+	res, err := c.HandleTuningRequestCtx(context.Background(), db, workload.SysbenchRW())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if saw != 0 || res.Improvement != 0 {
+		t.Fatalf("approver saw %v, result carries %v; want 0 and 0", saw, res.Improvement)
+	}
+	if res.Approved {
+		t.Fatal("a +5% threshold must not approve an unmeasurable improvement")
+	}
 }

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"context"
 	"testing"
 
 	"cdbtune/internal/core"
@@ -49,7 +50,7 @@ func TestTuningRequestOtherEngines(t *testing.T) {
 			t.Fatal(err)
 		}
 		db := env.OpenEngine(c.engine, c.inst, 77)
-		res, err := ctl.HandleTuningRequest(db, c.w)
+		res, err := ctl.HandleTuningRequestCtx(context.Background(), db, c.w)
 		if err != nil {
 			t.Fatalf("%v: %v", c.engine, err)
 		}

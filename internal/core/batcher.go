@@ -57,9 +57,6 @@ type inferBatcher struct {
 // per forward pass. Callers stop it with stop() once every worker that
 // could submit has exited.
 func newInferBatcher(t *Tuner, maxBatch int) *inferBatcher {
-	if maxBatch < 1 {
-		maxBatch = 1
-	}
 	b := &inferBatcher{
 		t:        t,
 		maxBatch: maxBatch,

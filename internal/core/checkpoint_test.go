@@ -99,7 +99,7 @@ func TestRestoreBestKeepsAdamMoments(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tn.OfflineTrain(mkEnvFactory(cat, workload.SysbenchRW(), 70), 3); err != nil {
+		if _, err := tn.OfflineTrainOpts(mkEnvFactory(cat, workload.SysbenchRW(), 70), TrainOptions{Episodes: 3}); err != nil {
 			t.Fatal(err)
 		}
 		if tn.bestSnapshot == nil || tn.agent.TrainSteps() == 0 {

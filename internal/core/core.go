@@ -302,15 +302,6 @@ type LearnerReport struct {
 // instance (§2.2.1 cold start).
 type EnvFactory func(episode int) *env.Env
 
-// OfflineTrain trains the model for the given number of episodes. Each
-// episode resets to the default configuration, measures T0/L0, then
-// walks StepsPerEpisode try-and-error steps. Crashes are punished
-// (§5.2.3) and the instance is restarted with defaults so the episode's
-// remaining steps still produce samples.
-func (t *Tuner) OfflineTrain(mkEnv EnvFactory, episodes int) (TrainReport, error) {
-	return t.OfflineTrainOpts(mkEnv, TrainOptions{Episodes: episodes, Workers: 1})
-}
-
 // maybeSnapshot probes the current greedy policy on a fresh environment
 // and keeps a copy of the model when it is the best seen so far. Probe
 // steps do not enter the memory pool or the iteration count.
@@ -435,20 +426,17 @@ func recoverEnv(e *env.Env) (simdb.Result, error) {
 	return rec, err
 }
 
-// runEpisode executes one try-and-error episode on e. When train is true
-// the agent explores (drawing from noise, or the agent's own process when
-// nil) and learns; otherwise it acts greedily. Environment faults are
-// absorbed: transient failures that out-ran env's retries skip the step,
-// crashes recover to defaults, and an instance that cannot be recovered
-// ends the episode early (st.lost) instead of aborting training. A
-// cancelled ctx ends the episode with its error (never absorbed); beat,
-// when non-nil, is called before every environment step so the stall
-// watchdog can see the worker making progress.
-func (t *Tuner) runEpisode(ctx context.Context, e *env.Env, train bool, noise rl.Noise, beat func()) (epStats, error) {
+// runEpisode executes one try-and-error training episode on e: the agent
+// explores (drawing from noise, or the agent's own process when nil) and
+// learns. Environment faults are absorbed: transient failures that out-ran
+// env's retries skip the step, crashes recover to defaults, and an
+// instance that cannot be recovered ends the episode early (st.lost)
+// instead of aborting training. A cancelled ctx ends the episode with its
+// error (never absorbed); beat is called before every environment step so
+// the stall watchdog can see the worker making progress.
+func (t *Tuner) runEpisode(ctx context.Context, e *env.Env, noise rl.Noise, beat func()) (epStats, error) {
 	var st epStats
-	if beat != nil {
-		beat()
-	}
+	beat()
 	base, err := e.Measure()
 	if err != nil {
 		if errors.Is(err, simdb.ErrCrashed) {
@@ -472,15 +460,11 @@ func (t *Tuner) runEpisode(ctx context.Context, e *env.Env, train bool, noise rl
 	flat := 0
 	var prevT float64 = base.Ext.Throughput
 	for step := 0; step < t.cfg.StepsPerEpisode; step++ {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return st, err
-			}
+		if err := ctx.Err(); err != nil {
+			return st, err
 		}
-		if beat != nil {
-			beat()
-		}
-		action := t.selectAction(state, train, noise)
+		beat()
+		action := t.selectAction(state, true, noise)
 		e.Clock.Charge(RecommendSec)
 		res, err := e.Step(action)
 		t.mu.Lock()
@@ -505,12 +489,10 @@ func (t *Tuner) runEpisode(ctx context.Context, e *env.Env, train bool, noise rl
 				State: state, Action: action,
 				Reward: t.cfg.CrashPenalty, NextState: state, Done: true,
 			})
-			if train {
-				u, uerr := t.trainUpdates(e)
-				st.updates.add(u)
-				if uerr != nil {
-					return st, uerr
-				}
+			u, uerr := t.trainUpdates(e)
+			st.updates.add(u)
+			if uerr != nil {
+				return st, uerr
 			}
 			// The controller redeploys defaults and the episode continues
 			// from the recovered instance — §5.2.3 reports frequent
@@ -539,20 +521,16 @@ func (t *Tuner) runEpisode(ctx context.Context, e *env.Env, train bool, noise rl
 			State: state, Action: action, Reward: r,
 			NextState: next, Done: step == t.cfg.StepsPerEpisode-1,
 		})
-		if train {
-			u, uerr := t.trainUpdates(e)
-			st.updates.add(u)
-			if uerr != nil {
-				return st, uerr
-			}
+		u, uerr := t.trainUpdates(e)
+		st.updates.add(u)
+		if uerr != nil {
+			return st, uerr
 		}
 		state = next
 		if res.Ext.Throughput > st.best.Throughput {
 			st.best = res.Ext
 		}
-		if train {
-			t.noteBestAction(action, res.Ext.Throughput)
-		}
+		t.noteBestAction(action, res.Ext.Throughput)
 		if prevT > 0 && math.Abs(res.Ext.Throughput-prevT)/prevT <= t.cfg.ConvergeEps {
 			flat++
 			if flat >= t.cfg.ConvergeWindow && st.convergedAt == 0 {
@@ -716,35 +694,37 @@ type TuneResult struct {
 	Faults env.FaultReport
 }
 
+// TuneOptions configures one OnlineTune request.
+type TuneOptions struct {
+	// Steps is the number of recommendation steps (0 means the paper's 5).
+	Steps int
+	// FineTune updates the model on the observed feedback, with small
+	// exploration after the first steps.
+	FineTune bool
+	// Guard, when non-nil, screens every recommendation against remembered
+	// near-crash regions, tracks the request's best-known-good
+	// configuration, and reverts the instance to it after K consecutive
+	// failed or crashed steps. Nil runs unguarded.
+	Guard *Guardrail
+}
+
 // OnlineTune serves one tuning request (§2.1.2): replay the user's
 // workload (already baked into e), recommend with the trained model for
-// `steps` steps (the paper uses 5), fine-tune the model on the observed
-// feedback, and return the configuration with the best observed
-// performance. The memory pool keeps the new transitions — incremental
-// training (§2.1.1).
-func (t *Tuner) OnlineTune(e *env.Env, steps int, fineTune bool) (TuneResult, error) {
-	return t.OnlineTuneGuarded(e, steps, fineTune, nil)
-}
-
-// OnlineTuneGuarded is OnlineTune with a safety guardrail: g screens
-// every recommendation against remembered near-crash regions, tracks the
-// request's best-known-good configuration, and reverts the instance to it
-// after K consecutive failed or crashed steps. Whatever happens during
-// exploration, the instance ends the request on the best configuration
-// actually measured — never on a crashing one. A nil g runs unguarded.
-func (t *Tuner) OnlineTuneGuarded(e *env.Env, steps int, fineTune bool, g *Guardrail) (TuneResult, error) {
-	return t.OnlineTuneCtx(context.Background(), e, steps, fineTune, g)
-}
-
-// OnlineTuneCtx is OnlineTuneGuarded under a context: a cancelled or
-// past-deadline ctx stops recommending promptly (checked before every
-// step; the environment is bound to ctx so backoff waits abort too), but
-// the request still ends with the best-effort deploy of the best
-// configuration measured so far — an abandoned request must not leave the
-// instance on an exploratory configuration. The returned error is then
-// ctx's error and the TuneResult is valid partial accounting.
-func (t *Tuner) OnlineTuneCtx(ctx context.Context, e *env.Env, steps int, fineTune bool, g *Guardrail) (TuneResult, error) {
+// opts.Steps steps, fine-tune the model on the observed feedback, and
+// return the configuration with the best observed performance. The memory
+// pool keeps the new transitions — incremental training (§2.1.1).
+// Whatever happens during exploration, the instance ends the request on
+// the best configuration actually measured — never on a crashing one.
+//
+// A cancelled or past-deadline ctx stops recommending promptly (checked
+// before every step; the environment is bound to ctx so backoff waits
+// abort too), but the request still ends with the best-effort deploy of
+// the best configuration measured so far — an abandoned request must not
+// leave the instance on an exploratory configuration. The returned error
+// is then ctx's error and the TuneResult is valid partial accounting.
+func (t *Tuner) OnlineTune(ctx context.Context, e *env.Env, opts TuneOptions) (TuneResult, error) {
 	var out TuneResult
+	steps, g := opts.Steps, opts.Guard
 	if steps <= 0 {
 		steps = 5
 	}
@@ -790,7 +770,7 @@ func (t *Tuner) OnlineTuneCtx(ctx context.Context, e *env.Env, steps int, fineTu
 			// recommendation — §2.1.2: "those knobs corresponding to the
 			// best performance in online tuning will be recommended".
 			action = append([]float64(nil), best...)
-		} else if fineTune && step > 1 {
+		} else if opts.FineTune && step > 1 {
 			// Small exploration during fine-tuning adapts the standard
 			// model to the user's real workload.
 			action = t.agent.ActNoisy(state)
@@ -872,7 +852,7 @@ func (t *Tuner) OnlineTuneCtx(ctx context.Context, e *env.Env, steps int, fineTu
 			State: state, Action: action, Reward: r,
 			NextState: next, Done: step == steps-1,
 		})
-		if fineTune {
+		if opts.FineTune {
 			if _, uerr := t.trainUpdates(e); uerr != nil {
 				out.Faults = e.Faults()
 				return out, uerr

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"cdbtune/internal/env"
@@ -89,7 +90,7 @@ func TestOfflineTrainRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := tn.OfflineTrain(mkEnvFactory(cat, workload.SysbenchRW(), 100), 4)
+	rep, err := tn.OfflineTrainOpts(mkEnvFactory(cat, workload.SysbenchRW(), 100), TrainOptions{Episodes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +114,11 @@ func TestOnlineTuneProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tn.OfflineTrain(mkEnvFactory(cat, workload.SysbenchRW(), 200), 3); err != nil {
+	if _, err := tn.OfflineTrainOpts(mkEnvFactory(cat, workload.SysbenchRW(), 200), TrainOptions{Episodes: 3}); err != nil {
 		t.Fatal(err)
 	}
 	e := mkEnvFactory(cat, workload.SysbenchRW(), 300)(0)
-	res, err := tn.OnlineTune(e, 5, true)
+	res, err := tn.OnlineTune(context.Background(), e, TuneOptions{Steps: 5, FineTune: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestOnlineTuneDefaultSteps(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := mkEnvFactory(cat, workload.TPCC(), 400)(0)
-	res, err := tn.OnlineTune(e, 0, false)
+	res, err := tn.OnlineTune(context.Background(), e, TuneOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,14 +179,14 @@ func TestTrainingImprovesPolicy(t *testing.T) {
 	w := workload.SysbenchRW()
 	evalPolicy := func() float64 {
 		e := mkEnvFactory(cat, w, 900)(0)
-		res, err := tn.OnlineTune(e, 3, false)
+		res, err := tn.OnlineTune(context.Background(), e, TuneOptions{Steps: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.BestPerf.Throughput
 	}
 	before := evalPolicy()
-	if _, err := tn.OfflineTrain(mkEnvFactory(cat, w, 500), 30); err != nil {
+	if _, err := tn.OfflineTrainOpts(mkEnvFactory(cat, w, 500), TrainOptions{Episodes: 30}); err != nil {
 		t.Fatal(err)
 	}
 	after := evalPolicy()
@@ -219,7 +220,7 @@ func TestCrashGivesNegativeRewardAndSurvives(t *testing.T) {
 	crash[cat.Index("innodb_log_files_in_group")] = 1
 	tn.Agent().SetBCTarget(crash)
 	e := mkEnvFactory(cat, workload.SysbenchWO(), 600)(0)
-	res, err := tn.OnlineTune(e, 3, false)
+	res, err := tn.OnlineTune(context.Background(), e, TuneOptions{Steps: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +253,7 @@ func TestSaveLoadTuner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tn.OfflineTrain(mkEnvFactory(cat, workload.TPCC(), 700), 2); err != nil {
+	if _, err := tn.OfflineTrainOpts(mkEnvFactory(cat, workload.TPCC(), 700), TrainOptions{Episodes: 2}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -281,7 +282,7 @@ func TestParallelTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := tn.OfflineTrainParallel(mkEnvFactory(cat, workload.SysbenchRW(), 800), 8, 4)
+	rep, err := tn.OfflineTrainOpts(mkEnvFactory(cat, workload.SysbenchRW(), 800), TrainOptions{Episodes: 8, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +294,7 @@ func TestParallelTraining(t *testing.T) {
 	}
 	// Single-worker path falls through to sequential.
 	tn2, _ := New(testConfig(t, cat))
-	rep2, err := tn2.OfflineTrainParallel(mkEnvFactory(cat, workload.SysbenchRW(), 850), 2, 1)
+	rep2, err := tn2.OfflineTrainOpts(mkEnvFactory(cat, workload.SysbenchRW(), 850), TrainOptions{Episodes: 2, Workers: 1})
 	if err != nil || rep2.Episodes != 2 {
 		t.Fatalf("sequential fallback: %v, %d episodes", err, rep2.Episodes)
 	}
@@ -306,7 +307,7 @@ func TestMismatchedEnvRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := knobs.MySQL(knobs.EngineCDB).Subset([]int{0, 1})
-	_, err = tn.OfflineTrain(mkEnvFactory(other, workload.TPCC(), 860), 1)
+	_, err = tn.OfflineTrainOpts(mkEnvFactory(other, workload.TPCC(), 860), TrainOptions{Episodes: 1})
 	if err == nil {
 		t.Fatal("knob-count mismatch must error")
 	}
@@ -322,7 +323,7 @@ func TestOnlineTuneFeedsMemoryPool(t *testing.T) {
 	}
 	before := tn.Agent().Memory.Len()
 	e := mkEnvFactory(cat, workload.TPCC(), 880)(0)
-	if _, err := tn.OnlineTune(e, 4, true); err != nil {
+	if _, err := tn.OnlineTune(context.Background(), e, TuneOptions{Steps: 4, FineTune: true}); err != nil {
 		t.Fatal(err)
 	}
 	if got := tn.Agent().Memory.Len(); got != before+4 {
@@ -338,7 +339,7 @@ func TestSnapshotSelectionKeepsBestPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tn.OfflineTrain(mkEnvFactory(cat, workload.SysbenchRW(), 910), 6); err != nil {
+	if _, err := tn.OfflineTrainOpts(mkEnvFactory(cat, workload.SysbenchRW(), 910), TrainOptions{Episodes: 6}); err != nil {
 		t.Fatal(err)
 	}
 	if tn.bestSnapshot == nil {
@@ -357,7 +358,7 @@ func TestSnapshotDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tn.OfflineTrain(mkEnvFactory(cat, workload.SysbenchRW(), 920), 3); err != nil {
+	if _, err := tn.OfflineTrainOpts(mkEnvFactory(cat, workload.SysbenchRW(), 920), TrainOptions{Episodes: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if tn.bestSnapshot != nil {
@@ -374,7 +375,7 @@ func TestBestActionTracked(t *testing.T) {
 	if tn.Agent().BCTarget() != nil {
 		t.Fatal("fresh tuner must have no remembered best")
 	}
-	if _, err := tn.OfflineTrain(mkEnvFactory(cat, workload.SysbenchRW(), 930), 3); err != nil {
+	if _, err := tn.OfflineTrainOpts(mkEnvFactory(cat, workload.SysbenchRW(), 930), TrainOptions{Episodes: 3}); err != nil {
 		t.Fatal(err)
 	}
 	best := tn.Agent().BCTarget()

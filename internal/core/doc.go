@@ -7,10 +7,11 @@
 //
 // # Concurrency contract
 //
-// A Tuner is safe for one training run (OfflineTrain, OfflineTrainOpts,
-// OfflineTrainParallel) or one OnlineTune call at a time; those
-// entry points themselves must not be invoked concurrently with each
-// other on the same Tuner. Inside a parallel training run, worker
+// Each verb has one entry point and one options struct:
+// OfflineTrainOpts(mkEnv, TrainOptions) trains and OnlineTune(ctx, env,
+// TuneOptions) serves a request (the Opts suffix is the name the frozen
+// benchmark harness calls). A Tuner is safe for one of either at a time,
+// never both concurrently. Inside a parallel training run, worker
 // goroutines share the agent under this discipline:
 //
 //   - agentMu serializes everything that touches the agent's networks,
@@ -40,8 +41,8 @@
 //
 // # Cancellation contract
 //
-// TrainOptions.Ctx and Deadline bound a training run; OnlineTuneCtx
-// bounds an online request. The context is bound to each worker's
+// TrainOptions.Ctx bounds a training run; OnlineTune's ctx bounds an
+// online request. The context is bound to each worker's
 // environment (env.Bind), which checks it on Step/Measure entry and
 // before every retry backoff — cancellation is never counted as a
 // measurement fault and never retried. Workers observe cancellation at
@@ -98,7 +99,7 @@
 // firing off a half-filled EWMA or immediately after its own re-tune.
 //
 // Interaction with the Guardrail and Supervisor: every re-tune runs
-// through OnlineTuneCtx under one Guardrail that persists across the
+// through OnlineTune under one Guardrail that persists across the
 // whole serving window, so near-crash regions screened during one burst
 // still veto recommendations hours later, and K consecutive failures
 // inside any re-tune revert to the window's best-known-good

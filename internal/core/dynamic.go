@@ -155,7 +155,7 @@ func (r DynamicReport) MeanThroughput() float64 {
 // feeds each normalized state to a DriftDetector rebased on the
 // post-tuning fingerprint, and when the smoothed fingerprint distance
 // crosses the threshold it runs an in-place guarded re-tune
-// (OnlineTuneCtx), optionally warm-seeded from a registry model via
+// (OnlineTune), optionally warm-seeded from a registry model via
 // opts.WarmSeed. Crashes at the serving configuration revert to
 // defaults and re-tune from there; the guardrail screens every re-tune
 // recommendation and reverts after consecutive failures, so the
@@ -296,8 +296,8 @@ func (t *Tuner) ServeDynamic(e *env.Env, opts DynamicOptions) (DynamicReport, er
 				seed = label
 			}
 		}
-		tr, terr := t.OnlineTuneCtx(ctx, e, opts.ReTuneSteps, opts.FineTune, guard)
-		e.Bind(ctx) // OnlineTuneCtx unbinds on return
+		tr, terr := t.OnlineTune(ctx, e, TuneOptions{Steps: opts.ReTuneSteps, FineTune: opts.FineTune, Guard: guard})
+		e.Bind(ctx) // OnlineTune unbinds on return
 		out.Crashes += tr.Crashes
 		out.Reverts += tr.Reverts
 		out.Vetoes += tr.Vetoes

@@ -5,7 +5,7 @@ import (
 	"sync"
 )
 
-// Guardrail is the online-tuning safety net OnlineTuneGuarded consults:
+// Guardrail is the online-tuning safety net OnlineTune consults:
 // it tracks the best-known-good configuration of the current request,
 // reverts the instance to it after K consecutive failed or crashed steps,
 // and remembers near-crash knob regions — across requests — so a

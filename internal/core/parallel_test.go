@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"cdbtune/internal/env"
@@ -40,29 +41,25 @@ func sameSlice(a, b []float64) bool {
 	return true
 }
 
-// A single parallel worker must reproduce serial training exactly: same
-// report, same annealing schedule, same final policy.
+// An explicit single worker must reproduce the default (Workers unset)
+// serial training exactly: same report, same annealing schedule, same final
+// policy — the one trainer is deterministic at one worker.
 func TestParallelSingleWorkerMatchesSerial(t *testing.T) {
 	cat := testCat(t)
 	w := workload.SysbenchRW()
-	run := func(parallel bool) (*Tuner, TrainReport) {
+	run := func(workers int) (*Tuner, TrainReport) {
 		tn, err := New(testConfig(t, cat))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rep TrainReport
-		if parallel {
-			rep, err = tn.OfflineTrainParallel(mkEnvFactory(cat, w, 1000), 6, 1)
-		} else {
-			rep, err = tn.OfflineTrain(mkEnvFactory(cat, w, 1000), 6)
-		}
+		rep, err := tn.OfflineTrainOpts(mkEnvFactory(cat, w, 1000), TrainOptions{Episodes: 6, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return tn, rep
 	}
-	tnSerial, repSerial := run(false)
-	tnPar, repPar := run(true)
+	tnSerial, repSerial := run(0)
+	tnPar, repPar := run(1)
 	if repSerial != repPar {
 		t.Fatalf("reports differ:\nserial   %+v\nparallel %+v", repSerial, repPar)
 	}
@@ -150,7 +147,7 @@ func TestParallelConvergenceReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := tn.OfflineTrainParallel(mkEnvFactory(cat, workload.SysbenchRW(), 1200), 4, 2)
+	rep, err := tn.OfflineTrainOpts(mkEnvFactory(cat, workload.SysbenchRW(), 1200), TrainOptions{Episodes: 4, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +167,7 @@ func TestParallelErrorDoesNotCountEpisodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := knobs.MySQL(knobs.EngineCDB).Subset([]int{0, 1})
-	rep, err := tn.OfflineTrainParallel(mkEnvFactory(other, workload.TPCC(), 1300), 4, 2)
+	rep, err := tn.OfflineTrainOpts(mkEnvFactory(other, workload.TPCC(), 1300), TrainOptions{Episodes: 4, Workers: 2})
 	if err == nil {
 		t.Fatal("knob-count mismatch must error")
 	}
@@ -192,7 +189,7 @@ func TestOnlineTuneCrashRecoveryConditionsOnRecoveredState(t *testing.T) {
 	tn.Agent().SetBCTarget(crashConfig(t, cat))
 	e := mkEnvFactory(cat, workload.SysbenchWO(), 640)(0)
 	const steps = 3
-	res, err := tn.OnlineTune(e, steps, false)
+	res, err := tn.OnlineTune(context.Background(), e, TuneOptions{Steps: steps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +250,7 @@ func TestOfflineTrainRemeasuresAfterCrash(t *testing.T) {
 		return env.New(db, cat, w)
 	}
 	const episodes = 2
-	rep, err := tn.OfflineTrain(mk, episodes)
+	rep, err := tn.OfflineTrainOpts(mk, TrainOptions{Episodes: episodes})
 	if err != nil {
 		t.Fatal(err)
 	}

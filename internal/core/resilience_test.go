@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -279,7 +280,7 @@ func TestGuardedTuneSurvivesCrashStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Light pre-training so recommendations are not random.
-	if _, err := tn.OfflineTrain(mkEnvFactory(cat, w, 300), 2); err != nil {
+	if _, err := tn.OfflineTrainOpts(mkEnvFactory(cat, w, 300), TrainOptions{Episodes: 2}); err != nil {
 		t.Fatal(err)
 	}
 	// The first run is the baseline measurement; everything after crashes.
@@ -289,7 +290,7 @@ func TestGuardedTuneSurvivesCrashStorm(t *testing.T) {
 	before := db.CurrentKnobs(cat)
 
 	g := NewGuardrail(2, 0.05)
-	res, err := tn.OnlineTuneGuarded(e, 5, true, g)
+	res, err := tn.OnlineTune(context.Background(), e, TuneOptions{Steps: 5, FineTune: true, Guard: g})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -265,11 +265,13 @@ func TestTrainDeadlineStopsPromptly(t *testing.T) {
 		db := simdb.New(knobs.EngineCDB, simdb.CDBA, 900+int64(ep))
 		return env.New(&slowDB{Database: db, delay: 3 * time.Millisecond}, cat, workload.SysbenchRW())
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+	defer cancel()
 	start := time.Now()
 	rep, err := tn.OfflineTrainOpts(mk, TrainOptions{
 		Episodes: 500,
 		Workers:  3,
-		Deadline: 150 * time.Millisecond,
+		Ctx:      ctx,
 	})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
@@ -399,7 +401,7 @@ func TestOnlineTuneCtxCancelDeploysBestKnown(t *testing.T) {
 		cancel:   cancel,
 	}
 	e := env.New(db, cat, workload.SysbenchRW())
-	res, err := tn.OnlineTuneCtx(ctx, e, 5, false, nil)
+	res, err := tn.OnlineTune(ctx, e, TuneOptions{Steps: 5})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}

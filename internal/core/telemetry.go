@@ -47,8 +47,9 @@ type EpisodeStats struct {
 	// InferBatchMean is the cumulative mean number of action-selection
 	// requests folded into one batched forward pass since training
 	// started — the amortization the cross-worker inference batcher is
-	// buying. It is 1 when batching is off (serial training, or
-	// TrainOptions.InferBatch = 1).
+	// buying. It is 1 when batching is off (serial training; batching
+	// only activates with Workers ≥ 2, so a serial run keeps its exact
+	// determinism).
 	InferBatchMean float64
 
 	// MemoryShards is the number of independently locked shards behind
@@ -120,29 +121,15 @@ type EpisodeHook func(EpisodeStats)
 // TrainOptions configures OfflineTrainOpts beyond the episode budget.
 type TrainOptions struct {
 	// Episodes is the number of training episodes; Workers the number of
-	// concurrent training environments (≤ 1 means serial).
+	// concurrent training environments (≤ 1 means serial). With
+	// Workers ≥ 2 action selection goes through the cross-worker inference
+	// batcher, sized to the worker count.
 	Episodes int
 	Workers  int
-
-	// ProbeEnv, when non-nil, builds the fresh environments used by
-	// best-policy snapshot probes (Config.SnapshotEvery), keeping the
-	// mkEnv contract at exactly one call per episode. When nil, probes
-	// reuse mkEnv with the probed episode's index, so mkEnv sees that
-	// index a second time.
-	ProbeEnv EnvFactory
 
 	// OnEpisode, when non-nil, receives a telemetry record after each
 	// completed episode.
 	OnEpisode EpisodeHook
-
-	// InferBatch bounds how many in-flight action requests the
-	// cross-worker inference batcher folds into one forward pass. 0 picks
-	// the worker count; 1 disables batching (every worker takes the agent
-	// lock for its own single-state pass); values above the worker count
-	// are harmless. Batching only activates when Workers ≥ 2 — a serial
-	// run always selects actions directly, preserving exact
-	// serial-training determinism.
-	InferBatch int
 
 	// Checkpoint, when non-nil, periodically persists the run (atomic
 	// temp-file + rename) so a killed training process can continue;
@@ -166,20 +153,16 @@ type TrainOptions struct {
 	// every worker's environment fails fast once the context is done. The
 	// run drains promptly and returns the context's error with valid
 	// partial accounting (episodes completed before cancellation are fully
-	// reported). Nil means no external cancellation.
+	// reported). A context.WithTimeout bounds the run's real (not virtual)
+	// wall-clock time. Nil means no external cancellation.
 	Ctx context.Context
-
-	// Deadline, when positive, bounds the run's real (not virtual)
-	// wall-clock time: the run behaves as if Ctx had that timeout. Both
-	// can be combined; whichever fires first stops the run.
-	Deadline time.Duration
 
 	// StallTimeout arms the stall watchdog: a worker that sits on one
 	// environment step for longer than this (real time) is flagged —
 	// TrainReport.Stalls increments and OnStall fires, once per stuck
 	// step. The watchdog observes and reports; it never kills the worker
 	// (the simulator is synchronous, so the step eventually returns —
-	// combine with Deadline to bound the whole run). 0 disables.
+	// combine with a Ctx timeout to bound the whole run). 0 disables.
 	StallTimeout time.Duration
 
 	// OnStall, when non-nil, is invoked from the watchdog goroutine each

@@ -1,9 +1,11 @@
 package expr
 
 import (
+	"context"
 	"fmt"
 
 	"cdbtune/internal/bestconfig"
+	"cdbtune/internal/core"
 	"cdbtune/internal/dba"
 	"cdbtune/internal/knobs"
 	"cdbtune/internal/ottertune"
@@ -90,7 +92,7 @@ func adaptSweep(b Budget, title string, w workload.Workload, trainInst simdb.Ins
 
 		// Cross testing: the base model tunes the new hardware directly.
 		e = newEnv(knobs.EngineCDB, inst, cat, w, s+3)
-		cross, err := baseTuner.OnlineTune(e, b.OnlineSteps, true)
+		cross, err := baseTuner.OnlineTune(context.TODO(), e, core.TuneOptions{Steps: b.OnlineSteps, FineTune: true})
 		if err != nil {
 			return nil, err
 		}
@@ -102,7 +104,7 @@ func adaptSweep(b Budget, title string, w workload.Workload, trainInst simdb.Ins
 			return nil, err
 		}
 		e = newEnv(knobs.EngineCDB, inst, cat, w, s+5)
-		norm, err := normTuner.OnlineTune(e, b.OnlineSteps, true)
+		norm, err := normTuner.OnlineTune(context.TODO(), e, core.TuneOptions{Steps: b.OnlineSteps, FineTune: true})
 		if err != nil {
 			return nil, err
 		}
@@ -164,7 +166,7 @@ func Fig12(b Budget) (Table, error) {
 		return t, err
 	}
 	e = newEnv(knobs.EngineCDB, inst, cat, target, seed+11)
-	cross, err := rwTuner.OnlineTune(e, b.OnlineSteps, true)
+	cross, err := rwTuner.OnlineTune(context.TODO(), e, core.TuneOptions{Steps: b.OnlineSteps, FineTune: true})
 	if err != nil {
 		return t, err
 	}
@@ -176,7 +178,7 @@ func Fig12(b Budget) (Table, error) {
 		return t, err
 	}
 	e = newEnv(knobs.EngineCDB, inst, cat, target, seed+21)
-	norm, err := tpccTuner.OnlineTune(e, b.OnlineSteps, true)
+	norm, err := tpccTuner.OnlineTune(context.TODO(), e, core.TuneOptions{Steps: b.OnlineSteps, FineTune: true})
 	if err != nil {
 		return t, err
 	}

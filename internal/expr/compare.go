@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"context"
 	"fmt"
 
 	"cdbtune/internal/bestconfig"
@@ -77,7 +78,7 @@ func runSixWay(b Budget, engine knobs.Engine, inst simdb.Instance, w workload.Wo
 
 	// CDBTune: the 5-step online protocol with fine-tuning.
 	e = newEnv(engine, inst, cat, w, seed+5)
-	tres, err := tuner.OnlineTune(e, b.OnlineSteps, true)
+	tres, err := tuner.OnlineTune(context.TODO(), e, core.TuneOptions{Steps: b.OnlineSteps, FineTune: true})
 	if err != nil {
 		return out, err
 	}
@@ -224,7 +225,7 @@ func Table2(b Budget) (Table, error) {
 		return out, err
 	}
 	e := newEnv(knobs.EngineCDB, simdb.CDBA, cat, w, b.Seed+3050)
-	tres, err := tuner.OnlineTune(e, b.OnlineSteps, true)
+	tres, err := tuner.OnlineTune(context.TODO(), e, core.TuneOptions{Steps: b.OnlineSteps, FineTune: true})
 	if err != nil {
 		return out, err
 	}

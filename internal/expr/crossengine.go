@@ -1,8 +1,10 @@
 package expr
 
 import (
+	"context"
 	"fmt"
 
+	"cdbtune/internal/core"
 	"cdbtune/internal/knobs"
 	"cdbtune/internal/simdb"
 	"cdbtune/internal/workload"
@@ -55,7 +57,7 @@ func CrossEngine(b Budget, knobCap int) (Table, error) {
 			return out, fmt.Errorf("%s train: %w", c.engine, err)
 		}
 		e := newEnv(c.engine, c.inst, cat, c.w, seed+90)
-		res, err := tuner.OnlineTune(e, b.OnlineSteps, true)
+		res, err := tuner.OnlineTune(context.TODO(), e, core.TuneOptions{Steps: b.OnlineSteps, FineTune: true})
 		if err != nil {
 			return out, fmt.Errorf("%s tune: %w", c.engine, err)
 		}

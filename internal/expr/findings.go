@@ -1,8 +1,10 @@
 package expr
 
 import (
+	"context"
 	"fmt"
 
+	"cdbtune/internal/core"
 	"cdbtune/internal/knobs"
 	"cdbtune/internal/simdb"
 	"cdbtune/internal/workload"
@@ -40,7 +42,7 @@ func Findings(b Budget) (Table, error) {
 			return t, err
 		}
 		e := newEnv(knobs.EngineCDB, simdb.CDBA, cat, w, seed+90)
-		res, err := tuner.OnlineTune(e, b.OnlineSteps, true)
+		res, err := tuner.OnlineTune(context.TODO(), e, core.TuneOptions{Steps: b.OnlineSteps, FineTune: true})
 		if err != nil {
 			return t, err
 		}
@@ -75,7 +77,7 @@ func ExtYCSBVariants(b Budget) (Table, error) {
 			return t, err
 		}
 		e2 := newEnv(knobs.EngineMongoDB, simdb.CDBE, cat, w, seed+90)
-		res, err := tuner.OnlineTune(e2, b.OnlineSteps, true)
+		res, err := tuner.OnlineTune(context.TODO(), e2, core.TuneOptions{Steps: b.OnlineSteps, FineTune: true})
 		if err != nil {
 			return t, err
 		}

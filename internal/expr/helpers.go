@@ -63,10 +63,10 @@ func trainTuner(b Budget, engine knobs.Engine, inst simdb.Instance, cat *knobs.C
 		return nil, core.TrainReport{}, err
 	}
 	episodes := scaledEpisodes(b, cat)
-	rep, err := t.OfflineTrain(func(ep int) *env.Env {
+	rep, err := t.OfflineTrainOpts(func(ep int) *env.Env {
 		w := ws[ep%len(ws)]
 		return newEnv(engine, inst, cat, w, seedBase+int64(ep))
-	}, episodes)
+	}, core.TrainOptions{Episodes: episodes})
 	return t, rep, err
 }
 

@@ -1,9 +1,11 @@
 package expr
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
+	"cdbtune/internal/core"
 	"cdbtune/internal/dba"
 	"cdbtune/internal/knobs"
 	"cdbtune/internal/ottertune"
@@ -89,7 +91,7 @@ func KnobSweep(b Budget, order KnobOrder, counts []int) (Figure, Figure, Figure,
 			return tputFig, latFig, iterFig, err
 		}
 		e := newEnv(knobs.EngineCDB, simdb.CDBB, sub, w, seed+60)
-		tres, err := tuner.OnlineTune(e, b.OnlineSteps, true)
+		tres, err := tuner.OnlineTune(context.TODO(), e, core.TuneOptions{Steps: b.OnlineSteps, FineTune: true})
 		if err != nil {
 			return tputFig, latFig, iterFig, err
 		}
@@ -157,7 +159,7 @@ func Fig5(b Budget, maxSteps int) ([]Figure, error) {
 			return nil, err
 		}
 		e := newEnv(knobs.EngineCDB, simdb.CDBA, cat, w, seed+70)
-		res, err := tuner.OnlineTune(e, maxSteps, true)
+		res, err := tuner.OnlineTune(context.TODO(), e, core.TuneOptions{Steps: maxSteps, FineTune: true})
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"context"
 	"fmt"
 
 	"cdbtune/internal/core"
@@ -42,14 +43,14 @@ func Fig14(b Budget) ([]Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			rep, err := tuner.OfflineTrain(func(ep int) *env.Env {
+			rep, err := tuner.OfflineTrainOpts(func(ep int) *env.Env {
 				return newEnv(knobs.EngineCDB, c.inst, cat, c.w, seed+int64(ep))
-			}, scaledEpisodes(b, cat))
+			}, core.TrainOptions{Episodes: scaledEpisodes(b, cat)})
 			if err != nil {
 				return nil, err
 			}
 			e := newEnv(knobs.EngineCDB, c.inst, cat, c.w, seed+90)
-			res, err := tuner.OnlineTune(e, b.OnlineSteps, true)
+			res, err := tuner.OnlineTune(context.TODO(), e, core.TuneOptions{Steps: b.OnlineSteps, FineTune: true})
 			if err != nil {
 				return nil, err
 			}
@@ -91,13 +92,13 @@ func Fig15(b Budget, cts []float64) (Figure, error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		if _, err := tuner.OfflineTrain(func(ep int) *env.Env {
+		if _, err := tuner.OfflineTrainOpts(func(ep int) *env.Env {
 			return newEnv(knobs.EngineCDB, simdb.CDBA, cat, w, seed+int64(ep))
-		}, scaledEpisodes(b, cat)); err != nil {
+		}, core.TrainOptions{Episodes: scaledEpisodes(b, cat)}); err != nil {
 			return 0, 0, err
 		}
 		e := newEnv(knobs.EngineCDB, simdb.CDBA, cat, w, seed+90)
-		res, err := tuner.OnlineTune(e, b.OnlineSteps, true)
+		res, err := tuner.OnlineTune(context.TODO(), e, core.TuneOptions{Steps: b.OnlineSteps, FineTune: true})
 		if err != nil {
 			return 0, 0, err
 		}
@@ -172,14 +173,14 @@ func Table6(b Budget, shrink int) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		rep, err := tuner.OfflineTrain(func(ep int) *env.Env {
+		rep, err := tuner.OfflineTrainOpts(func(ep int) *env.Env {
 			return newEnv(knobs.EngineCDB, simdb.CDBB, cat, w, seed+int64(ep))
-		}, scaledEpisodes(b, cat))
+		}, core.TrainOptions{Episodes: scaledEpisodes(b, cat)})
 		if err != nil {
 			return t, err
 		}
 		e := newEnv(knobs.EngineCDB, simdb.CDBB, cat, w, seed+90)
-		res, err := tuner.OnlineTune(e, b.OnlineSteps, true)
+		res, err := tuner.OnlineTune(context.TODO(), e, core.TuneOptions{Steps: b.OnlineSteps, FineTune: true})
 		if err != nil {
 			return t, err
 		}

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -117,7 +118,7 @@ func QLearnDQN(b Budget, episodes int) (Table, error) {
 		return t, err
 	}
 	e := newEnv(knobs.EngineCDB, simdb.CDBA, cat, w, b.Seed+11090)
-	res, err := tuner.OnlineTune(e, b.OnlineSteps, true)
+	res, err := tuner.OnlineTune(context.TODO(), e, core.TuneOptions{Steps: b.OnlineSteps, FineTune: true})
 	if err != nil {
 		return t, err
 	}
@@ -153,9 +154,9 @@ func AblationReplay(b Budget) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		rep, err := tuner.OfflineTrain(func(ep int) *env.Env {
+		rep, err := tuner.OfflineTrainOpts(func(ep int) *env.Env {
 			return newEnv(knobs.EngineCDB, simdb.CDBA, cat, w, seed+int64(ep))
-		}, scaledEpisodes(b, cat))
+		}, core.TrainOptions{Episodes: scaledEpisodes(b, cat)})
 		if err != nil {
 			return t, err
 		}
@@ -195,11 +196,11 @@ func AblationAction(b Budget) (Table, error) {
 			e.DeltaScale = delta
 			return e
 		}
-		if _, err := tuner.OfflineTrain(mk, scaledEpisodes(b, cat)); err != nil {
+		if _, err := tuner.OfflineTrainOpts(mk, core.TrainOptions{Episodes: scaledEpisodes(b, cat)}); err != nil {
 			return t, err
 		}
 		e := mk(9999)
-		res, err := tuner.OnlineTune(e, b.OnlineSteps, true)
+		res, err := tuner.OnlineTune(context.TODO(), e, core.TuneOptions{Steps: b.OnlineSteps, FineTune: true})
 		if err != nil {
 			return t, err
 		}

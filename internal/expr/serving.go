@@ -96,7 +96,7 @@ func ServingTelemetry(b Budget) ([]Table, error) {
 		Title:  "Serving sessions (multi-tenant tuning service; warm = fine-tuned a registry match)",
 		Header: []string{"session", "workload", "path", "match dist", "queue ms", "episodes", "saved", "improvement"},
 	}
-	for _, s := range m.Sessions() {
+	for _, s := range m.Jobs() {
 		dist := "-"
 		if s.Path == server.PathWarm {
 			dist = fmt.Sprintf("%.4f", s.MatchDistance)

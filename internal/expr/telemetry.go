@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -104,7 +105,7 @@ func TrainingTelemetry(b Budget, workers int) ([]Table, error) {
 	})
 	tuneDB := simdb.New(knobs.EngineCDB, inst, b.Seed+9999)
 	guard := core.NewGuardrail(2, 0.05)
-	tuned, err := t.OnlineTuneGuarded(env.New(tuneIn.Wrap(tuneDB), cat, w), 5, true, guard)
+	tuned, err := t.OnlineTune(context.TODO(), env.New(tuneIn.Wrap(tuneDB), cat, w), core.TuneOptions{Steps: 5, FineTune: true, Guard: guard})
 	if err != nil {
 		return nil, err
 	}

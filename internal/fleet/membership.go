@@ -84,13 +84,6 @@ func (m *Membership) Stop() {
 	}
 }
 
-// Abandon halts renewals without releasing the lease — the simulated
-// crash: peers only notice once the lease expires.
-func (m *Membership) Abandon() {
-	close(m.stop)
-	m.wg.Wait()
-}
-
 // StallFor pauses lease renewals for d — chaos injection: the member
 // keeps running but looks dead once the stall outlives the TTL.
 func (m *Membership) StallFor(d time.Duration) {

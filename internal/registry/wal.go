@@ -105,13 +105,6 @@ func (c *ChangeLog) Close() error {
 	return c.f.Close()
 }
 
-// LastSeq reports the highest sequence number seen (read or written).
-func (c *ChangeLog) LastSeq() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastSeq
-}
-
 // Tail returns the records appended since the previous Tail (or since
 // Open). A torn final frame is not an error: it stays unread until the
 // writer finishes it. A corrupt frame body is an error — the records

@@ -67,9 +67,6 @@ func (c *Calc) Init(t0, l0 float64) {
 	c.initalized = true
 }
 
-// Initialized reports whether Init has been called.
-func (c *Calc) Initialized() bool { return c.initalized }
-
 // Compute returns the reward for the performance observed after the
 // current tuning step and advances the previous-step state.
 func (c *Calc) Compute(t, l float64) float64 {

@@ -107,12 +107,6 @@ func (a *Agent) ScaleLR(f float64) float64 {
 	return a.criticOpt.LR
 }
 
-// LearningRates reports the current actor and critic learning rates
-// (they start at Config.ActorLR/CriticLR and shrink under ScaleLR).
-func (a *Agent) LearningRates() (actor, critic float64) {
-	return a.actorOpt.LR, a.criticOpt.LR
-}
-
 // networks lists the four networks in Save/Load order.
 func (a *Agent) networks() []*nn.Network {
 	return []*nn.Network{a.actor, a.actorTarget, a.critic.net(), a.critTarget.net()}

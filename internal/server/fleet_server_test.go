@@ -293,3 +293,82 @@ func TestDrainWaitsForInFlightSessions(t *testing.T) {
 		}
 	}
 }
+
+// TestCancelWhileQueued pins the terminal path of a session that never
+// starts: cancelled while still queued behind a running job, it must end
+// canceled with a "canceled before start" event, fire the terminal hook
+// exactly once, give its tenant both admission slots back, and leave the
+// counters Drain and /metrics read consistent.
+func TestCancelWhileQueued(t *testing.T) {
+	cfg, release := blockingConfig(t)
+	cfg.Workers = 1
+	cfg.MaxPerTenant = 2
+	var mu sync.Mutex
+	hooked := map[string]int{}
+	cfg.OnJobDone = func(st JobStatus) {
+		mu.Lock()
+		hooked[st.ID]++
+		mu.Unlock()
+	}
+	m, err := NewManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+
+	req := JobRequest{Tenant: "acme", Workload: "sysbench-ro"}
+	first, err := m.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return m.Metrics().Active == 1 })
+	second, err := m.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Submit(req); err != ErrTenantBusy {
+		t.Fatalf("third submit err = %v, want ErrTenantBusy", err)
+	}
+	if err := m.Cancel(second.ID); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := m.Job(second.ID); st.State != StateQueued {
+		t.Fatalf("cancelled job is %q before a worker reaches it, want queued", st.State)
+	}
+
+	release()
+	waitFor(t, func() bool {
+		a, _ := m.Job(first.ID)
+		b, _ := m.Job(second.ID)
+		mu.Lock()
+		defer mu.Unlock()
+		return a.State == StateDone && b.State == StateCanceled && len(hooked) == 2
+	})
+	if st, _ := m.Job(second.ID); st.Error != "" || st.Episodes != 0 {
+		t.Fatalf("never-started job carries work or an error: %+v", st)
+	}
+	events, _, _ := m.Events(second.ID, 0)
+	if last := events[len(events)-1]; last.Stage != StateCanceled || last.Message != "canceled before start" {
+		t.Fatalf("last event = %+v, want the canceled-before-start line", last)
+	}
+	if mt := m.Metrics(); mt.Active != 0 || mt.Canceled != 1 || mt.Completed != 1 {
+		t.Fatalf("metrics after both jobs ended: %+v", mt)
+	}
+
+	// Both of the tenant's slots are free again.
+	for i := 0; i < 2; i++ {
+		if _, err := m.Submit(req); err != nil {
+			t.Fatalf("resubmit %d: %v", i, err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	if err := m.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if hooked[first.ID] != 1 || hooked[second.ID] != 1 {
+		t.Fatalf("OnJobDone calls = %v, want exactly one per job", hooked)
+	}
+}

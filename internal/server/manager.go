@@ -309,9 +309,7 @@ type Metrics struct {
 
 // session is one tuning request moving through the pipeline.
 type session struct {
-	id     string
-	tenant string
-	req    JobRequest
+	req JobRequest
 
 	w        workload.Workload
 	inst     simdb.Instance
@@ -319,27 +317,16 @@ type session struct {
 
 	submitted time.Time
 
-	// Everything below is guarded by the manager's mutex.
-	state         string
-	path          string
-	matchID       string
-	matchDistance float64
-	episodes      int
-	episodesSaved int
-	modelID       string
-	improvement   float64
-	approved      bool
-	bestTput      float64
-	timeline      string
-	drifts        int
-	retunes       int
-	reverts       int
-	queueWait     time.Duration
-	errMsg        string
-	events        []Event
-	notify        chan struct{}
-	cancel        context.CancelFunc
-	canceled      bool
+	// Everything below is guarded by the manager's mutex. The embedded
+	// JobStatus is the session's externally visible state — a status
+	// snapshot is a copy of it; its ID, Tenant, IdemKey, Workload,
+	// Instance and Timeline are fixed at submission and readable without
+	// the lock.
+	JobStatus
+	events   []Event
+	notify   chan struct{}
+	cancel   context.CancelFunc
+	canceled bool
 }
 
 // Manager runs the multi-tenant serving pipeline: a bounded worker pool
@@ -461,16 +448,17 @@ func (m *Manager) Submit(req JobRequest) (JobStatus, error) {
 		id = m.cfg.IDPrefix + "-" + id
 	}
 	s := &session{
-		id:        id,
-		tenant:    req.Tenant,
 		req:       req,
 		w:         w,
 		inst:      inst,
 		baseSeed:  m.cfg.Seed + int64(m.nextID)*1_000_003,
 		submitted: time.Now(),
-		state:     StateQueued,
-		timeline:  tlName,
-		notify:    make(chan struct{}),
+		JobStatus: JobStatus{
+			ID: id, Tenant: req.Tenant, IdemKey: req.IdemKey,
+			Workload: w.Name, Instance: inst.Name,
+			State: StateQueued, Timeline: tlName,
+		},
+		notify: make(chan struct{}),
 	}
 	m.nextID++
 
@@ -483,11 +471,11 @@ func (m *Manager) Submit(req JobRequest) (JobStatus, error) {
 	}
 	m.submitted++
 	m.inflight++
-	m.pending[s.tenant]++
-	m.jobs[s.id] = s
-	m.order = append(m.order, s.id)
+	m.pending[s.Tenant]++
+	m.jobs[s.ID] = s
+	m.order = append(m.order, s.ID)
 	m.eventLocked(s, "queued", "request queued (workload %s, instance %s)", w.Name, inst.Name)
-	st := m.statusLocked(s)
+	st := s.JobStatus
 	m.mu.Unlock()
 	return st, nil
 }
@@ -500,7 +488,7 @@ func (m *Manager) Job(id string) (JobStatus, bool) {
 	if !ok {
 		return JobStatus{}, false
 	}
-	return m.statusLocked(s), true
+	return s.JobStatus, true
 }
 
 // Jobs returns every session's status in submission order.
@@ -509,7 +497,7 @@ func (m *Manager) Jobs() []JobStatus {
 	defer m.mu.Unlock()
 	out := make([]JobStatus, 0, len(m.order))
 	for _, id := range m.order {
-		out = append(out, m.statusLocked(m.jobs[id]))
+		out = append(out, m.jobs[id].JobStatus)
 	}
 	return out
 }
@@ -524,9 +512,9 @@ func (m *Manager) Cancel(id string) error {
 	if !ok {
 		return fmt.Errorf("server: no job %q", id)
 	}
-	switch s.state {
+	switch s.State {
 	case StateDone, StateFailed, StateCanceled:
-		return fmt.Errorf("server: job %q already %s", id, s.state)
+		return fmt.Errorf("server: job %q already %s", id, s.State)
 	}
 	s.canceled = true
 	if s.cancel != nil {
@@ -559,14 +547,14 @@ func (m *Manager) Events(id string, after int) ([]Event, <-chan struct{}, bool) 
 func (m *Manager) Metrics() Metrics {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	p50, p95 := percentiles(m.waitsMs)
 	return Metrics{
 		Submitted: m.submitted, Rejected: m.rejected,
 		Completed: m.completed, Failed: m.failed, Canceled: m.canceled,
 		Active: m.active, Queued: len(m.queue),
 		WarmHits: m.warmHits, WarmMisses: m.warmMisses,
 		EpisodesTrained: m.episodesTrained, EpisodesSaved: m.episodesSaved,
-		QueueWaitP50Ms: p50, QueueWaitP95Ms: p95,
+		QueueWaitP50Ms:      percentile(m.waitsMs, 0.50),
+		QueueWaitP95Ms:      percentile(m.waitsMs, 0.95),
 		SubmitToDeployP50Ms: percentile(m.deployMs, 0.50),
 		SubmitToDeployP99Ms: percentile(m.deployMs, 0.99),
 		RegistryEntries:     m.reg.Len(), RegistryCorrupt: len(m.reg.Corrupt()),
@@ -611,10 +599,6 @@ func (m *Manager) Workers() int { return m.cfg.Workers }
 // Registry exposes the model collection behind the serving layer.
 func (m *Manager) Registry() registry.Store { return m.reg }
 
-func percentiles(samples []float64) (p50, p95 float64) {
-	return percentile(samples, 0.50), percentile(samples, 0.95)
-}
-
 // percentile reports the q-quantile (nearest-rank on the sorted copy) of
 // samples, 0 when empty.
 func percentile(samples []float64, q float64) float64 {
@@ -625,23 +609,6 @@ func percentile(samples []float64, q float64) float64 {
 	sort.Float64s(s)
 	i := int(q * float64(len(s)-1))
 	return s[i]
-}
-
-// statusLocked renders a session snapshot; callers hold m.mu.
-func (m *Manager) statusLocked(s *session) JobStatus {
-	return JobStatus{
-		ID: s.id, Tenant: s.tenant, IdemKey: s.req.IdemKey,
-		Workload: s.w.Name, Instance: s.inst.Name,
-		State: s.state, Path: s.path,
-		MatchID: s.matchID, MatchDistance: s.matchDistance,
-		Episodes: s.episodes, EpisodesSaved: s.episodesSaved,
-		ModelID: s.modelID, Improvement: s.improvement,
-		Approved: s.approved, BestThroughput: s.bestTput,
-		Timeline: s.timeline,
-		Drifts:   s.drifts, Retunes: s.retunes, Reverts: s.reverts,
-		QueueWaitMs: float64(s.queueWait) / float64(time.Millisecond),
-		Error:       s.errMsg,
-	}
 }
 
 // eventLocked appends a progress event and wakes streamers; callers hold
@@ -656,7 +623,7 @@ func (m *Manager) eventLocked(s *session, stage, format string, args ...any) {
 	s.events = append(s.events, e)
 	close(s.notify)
 	s.notify = make(chan struct{})
-	m.cfg.Logf("server: %s [%s] %s", s.id, stage, e.Message)
+	m.cfg.Logf("server: %s [%s] %s", s.ID, stage, e.Message)
 }
 
 func (m *Manager) event(s *session, stage, format string, args ...any) {
@@ -673,11 +640,12 @@ func (m *Manager) worker() {
 	}
 }
 
-// finish transitions a session to its terminal state, releases its
-// tenant's admission slot and fires the terminal-status hook.
+// finish is the one terminal path of every session, started or not: it
+// records the terminal state, releases the tenant's admission slot and
+// fires the terminal-status hook.
 func (m *Manager) finish(s *session, state string, err error) {
 	m.mu.Lock()
-	s.state = state
+	s.State = state
 	switch state {
 	case StateDone:
 		m.completed++
@@ -692,30 +660,27 @@ func (m *Manager) finish(s *session, state string, err error) {
 	case StateCanceled:
 		m.canceled++
 	}
-	if err != nil {
-		s.errMsg = err.Error()
+	switch {
+	case err != nil:
+		s.Error = err.Error()
 		m.eventLocked(s, state, "%v", err)
-	} else {
+	case state == StateCanceled:
+		// A started session is canceled through its context and carries
+		// the context's error; only one that never ran has none.
+		m.eventLocked(s, state, "canceled before start")
+	default:
 		m.eventLocked(s, state, "session %s", state)
 	}
-	m.active--
 	m.inflight--
-	m.releaseTenantLocked(s.tenant)
-	st := m.statusLocked(s)
-	done := m.cfg.OnJobDone
-	m.mu.Unlock()
-	if done != nil {
-		done(st)
-	}
-}
-
-// releaseTenantLocked frees one of a tenant's pending-job slots; callers
-// hold m.mu.
-func (m *Manager) releaseTenantLocked(tenant string) {
-	if m.pending[tenant] <= 1 {
-		delete(m.pending, tenant)
+	if m.pending[s.Tenant] <= 1 {
+		delete(m.pending, s.Tenant)
 	} else {
-		m.pending[tenant]--
+		m.pending[s.Tenant]--
+	}
+	st := s.JobStatus
+	m.mu.Unlock()
+	if m.cfg.OnJobDone != nil {
+		m.cfg.OnJobDone(st)
 	}
 }
 
@@ -727,31 +692,25 @@ func (m *Manager) run(s *session) {
 
 	m.mu.Lock()
 	if s.canceled || m.rootCtx.Err() != nil {
-		s.state = StateCanceled
-		m.canceled++
-		m.inflight--
-		m.eventLocked(s, StateCanceled, "canceled before start")
-		m.releaseTenantLocked(s.tenant)
-		st := m.statusLocked(s)
-		done := m.cfg.OnJobDone
 		m.mu.Unlock()
-		if done != nil {
-			done(st)
-		}
+		m.finish(s, StateCanceled, nil)
 		return
 	}
-	s.state = StateRunning
+	s.State = StateRunning
 	s.cancel = cancel
-	s.queueWait = time.Since(s.submitted)
-	m.waitsMs = append(m.waitsMs, float64(s.queueWait)/float64(time.Millisecond))
+	s.QueueWaitMs = float64(time.Since(s.submitted)) / float64(time.Millisecond)
+	m.waitsMs = append(m.waitsMs, s.QueueWaitMs)
 	if len(m.waitsMs) > 256 {
 		m.waitsMs = m.waitsMs[len(m.waitsMs)-256:]
 	}
 	m.active++
-	m.eventLocked(s, "start", "session started after %.0f ms in queue", float64(s.queueWait)/float64(time.Millisecond))
+	m.eventLocked(s, "start", "session started after %.0f ms in queue", s.QueueWaitMs)
 	m.mu.Unlock()
 
 	err := m.serve(ctx, s)
+	m.mu.Lock()
+	m.active--
+	m.mu.Unlock()
 	switch {
 	case err == nil:
 		m.finish(s, StateDone, nil)
@@ -798,12 +757,12 @@ func (m *Manager) serve(ctx context.Context, s *session) error {
 	}
 	m.mu.Lock()
 	if warm {
-		s.path, s.matchID, s.matchDistance = PathWarm, match.Meta.ID, match.Distance
+		s.Path, s.MatchID, s.MatchDistance = PathWarm, match.Meta.ID, match.Distance
 		m.warmHits++
 		m.eventLocked(s, "match", "warm start from %s (workload %s, d=%.4f, %d scratch episodes on record)",
 			match.Meta.ID, match.Meta.Workload, match.Distance, match.Meta.ScratchEpisodes)
 	} else {
-		s.path = PathScratch
+		s.Path = PathScratch
 		m.warmMisses++
 		m.eventLocked(s, "match", "no model within radius %.3f; training from scratch", cfg.MatchRadius)
 	}
@@ -811,11 +770,11 @@ func (m *Manager) serve(ctx context.Context, s *session) error {
 
 	episodes, err := m.train(ctx, s, tn, warm)
 	m.mu.Lock()
-	s.episodes = episodes
+	s.Episodes = episodes
 	m.episodesTrained += episodes
 	if warm {
 		if saved := match.Meta.ScratchEpisodes - episodes; saved > 0 {
-			s.episodesSaved = saved
+			s.EpisodesSaved = saved
 			m.episodesSaved += saved
 		}
 	}
@@ -823,7 +782,7 @@ func (m *Manager) serve(ctx context.Context, s *session) error {
 	if err != nil {
 		return err
 	}
-	m.event(s, "train", "%s training converged after %d episodes", s.path, episodes)
+	m.event(s, "train", "%s training converged after %d episodes", s.Path, episodes)
 
 	// Online tuning through the controller: capture, replay, recommend,
 	// license, deploy-or-rollback — under the session guardrail.
@@ -839,24 +798,16 @@ func (m *Manager) serve(ctx context.Context, s *session) error {
 	if err != nil {
 		return fmt.Errorf("tuning request: %w", err)
 	}
-	improvement := 0.0
-	if res.Initial.Throughput > 0 {
-		improvement = res.BestPerf.Throughput/res.Initial.Throughput - 1
-	}
 	m.mu.Lock()
-	s.improvement = improvement
-	s.approved = res.Approved
-	s.bestTput = res.BestPerf.Throughput
+	s.Improvement = res.Improvement
+	s.Approved = res.Approved
+	s.BestThroughput = res.BestPerf.Throughput
 	m.eventLocked(s, "tune", "online tuning: %.1f → %.1f tx/s (%+.1f%%), approved=%v",
-		res.Initial.Throughput, res.BestPerf.Throughput, improvement*100, res.Approved)
+		res.Initial.Throughput, res.BestPerf.Throughput, res.Improvement*100, res.Approved)
 	m.mu.Unlock()
 
 	// Write the tuned model back: a warm session updates its matched entry
 	// in place (version bump), a scratch session registers a new one.
-	var buf bytes.Buffer
-	if err := tn.Save(&buf); err != nil {
-		return fmt.Errorf("serializing tuned model: %w", err)
-	}
 	meta := registry.Meta{
 		Workload: s.w.Name, Instance: s.inst.Name, Fingerprint: fp,
 		Episodes: episodes, BestThroughput: res.BestPerf.Throughput,
@@ -870,19 +821,28 @@ func (m *Manager) serve(ctx context.Context, s *session) error {
 	} else {
 		meta.ScratchEpisodes = episodes
 	}
-	stored, err := m.reg.Put(meta, buf.Bytes())
+	stored, err := m.putModel(tn, meta)
 	if err != nil {
 		return fmt.Errorf("registering tuned model: %w", err)
 	}
 	m.mu.Lock()
-	s.modelID = stored.ID
+	s.ModelID = stored.ID
 	m.eventLocked(s, "registry", "model %s v%d stored (%d cumulative episodes)", stored.ID, stored.Version, stored.Episodes)
 	m.mu.Unlock()
 
-	if s.timeline == "" {
+	if s.Timeline == "" {
 		return nil
 	}
 	return m.serveDynamic(ctx, s, tn, userDB, stored)
+}
+
+// putModel serializes tn's model and writes it to the registry under meta.
+func (m *Manager) putModel(tn *core.Tuner, meta registry.Meta) (registry.Meta, error) {
+	var buf bytes.Buffer
+	if err := tn.Save(&buf); err != nil {
+		return meta, fmt.Errorf("serializing model: %w", err)
+	}
+	return m.reg.Put(meta, buf.Bytes())
 }
 
 // serveDynamic keeps the tuned session alive under a time-varying
@@ -893,7 +853,7 @@ func (m *Manager) serve(ctx context.Context, s *session) error {
 // fine-tuned model is written back to the registry when the window ends.
 func (m *Manager) serveDynamic(ctx context.Context, s *session, tn *core.Tuner, userDB env.Database, stored registry.Meta) error {
 	cfg := m.cfg
-	tl, err := workload.TimelineByName(s.timeline, s.w)
+	tl, err := workload.TimelineByName(s.Timeline, s.w)
 	if err != nil {
 		return fmt.Errorf("dynamic window: %w", err)
 	}
@@ -909,17 +869,10 @@ func (m *Manager) serveDynamic(ctx context.Context, s *session, tn *core.Tuner, 
 	m.event(s, "dynamic", "serving timeline %s for %.0fh (drift threshold %.3f)",
 		tl.Name, nonZero(hours, tl.TotalHours()), nonZero(cfg.DriftThreshold, core.DefaultDriftThreshold))
 
-	guardK, guardR := cfg.GuardK, cfg.GuardRadius
-	if guardK <= 0 {
-		guardK = 3
-	}
-	if guardR <= 0 {
-		guardR = 0.05
-	}
 	rep, derr := tn.ServeDynamic(e, core.DynamicOptions{
 		HorizonHours: hours,
 		Drift:        core.DriftConfig{Threshold: cfg.DriftThreshold},
-		Guard:        core.NewGuardrail(guardK, guardR),
+		Guard:        core.NewGuardrail(cfg.GuardK, cfg.GuardRadius),
 		FineTune:     true,
 		Ctx:          ctx,
 		WarmSeed: func(state []float64, w workload.Workload) (string, bool) {
@@ -941,11 +894,11 @@ func (m *Manager) serveDynamic(ctx context.Context, s *session, tn *core.Tuner, 
 			m.mu.Lock()
 			switch ev.Kind {
 			case "drift":
-				s.drifts++
+				s.Drifts++
 			case "retune":
-				s.retunes++
+				s.Retunes++
 			case "revert":
-				s.reverts++
+				s.Reverts++
 			}
 			m.eventLocked(s, ev.Kind, "%s", ev.String())
 			m.mu.Unlock()
@@ -954,8 +907,8 @@ func (m *Manager) serveDynamic(ctx context.Context, s *session, tn *core.Tuner, 
 	// Partial accounting is valid even when the window errored; surface
 	// it before deciding the session's fate.
 	m.mu.Lock()
-	if rep.Final.Throughput > s.bestTput {
-		s.bestTput = rep.Final.Throughput
+	if rep.Final.Throughput > s.BestThroughput {
+		s.BestThroughput = rep.Final.Throughput
 	}
 	m.eventLocked(s, "dynamic", "window closed: %.1fh served, %d drifts, %d retunes, %d reverts, %d crashes, mean %.1f tx/s",
 		rep.Hours, rep.Drifts, len(rep.Retunes), rep.Reverts, rep.Crashes, rep.MeanThroughput())
@@ -967,10 +920,6 @@ func (m *Manager) serveDynamic(ctx context.Context, s *session, tn *core.Tuner, 
 	// Registry fine-tune write-back: the drift re-tunes updated the
 	// model; persist the new version in place.
 	if len(rep.Retunes) > 0 {
-		var buf bytes.Buffer
-		if err := tn.Save(&buf); err != nil {
-			return fmt.Errorf("serializing re-tuned model: %w", err)
-		}
 		meta := registry.Meta{
 			ID: stored.ID, Workload: s.w.Name, Instance: s.inst.Name,
 			Fingerprint: stored.Fingerprint,
@@ -980,7 +929,7 @@ func (m *Manager) serveDynamic(ctx context.Context, s *session, tn *core.Tuner, 
 		if rep.Final.Throughput > meta.BestThroughput {
 			meta.BestThroughput = rep.Final.Throughput
 		}
-		upd, err := m.reg.Put(meta, buf.Bytes())
+		upd, err := m.putModel(tn, meta)
 		if err != nil {
 			return fmt.Errorf("re-registering fine-tuned model: %w", err)
 		}
@@ -1097,38 +1046,4 @@ func (m *Manager) probe(ctx context.Context, s *session, tn *core.Tuner, afterEp
 		}
 	}
 	return best, nil
-}
-
-// SessionStats is the per-session telemetry row behind the expdriver
-// serving table.
-type SessionStats struct {
-	ID            string
-	Workload      string
-	Instance      string
-	State         string
-	Path          string
-	QueueWaitMs   float64
-	MatchDistance float64
-	Episodes      int
-	EpisodesSaved int
-	Improvement   float64
-}
-
-// Sessions snapshots per-session telemetry in submission order.
-func (m *Manager) Sessions() []SessionStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]SessionStats, 0, len(m.order))
-	for _, id := range m.order {
-		s := m.jobs[id]
-		out = append(out, SessionStats{
-			ID: s.id, Workload: s.w.Name, Instance: s.inst.Name,
-			State: s.state, Path: s.path,
-			QueueWaitMs:   float64(s.queueWait) / float64(time.Millisecond),
-			MatchDistance: s.matchDistance,
-			Episodes:      s.episodes, EpisodesSaved: s.episodesSaved,
-			Improvement: s.improvement,
-		})
-	}
-	return out
 }

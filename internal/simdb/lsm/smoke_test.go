@@ -5,6 +5,7 @@
 package lsm_test
 
 import (
+	"context"
 	"testing"
 
 	"cdbtune/internal/core"
@@ -61,13 +62,13 @@ func TestLSMSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tuner.OfflineTrain(func(ep int) *env.Env {
+	if _, err := tuner.OfflineTrainOpts(func(ep int) *env.Env {
 		return newLSMEnv(seed + 10 + int64(ep))
-	}, 8); err != nil {
+	}, core.TrainOptions{Episodes: 8}); err != nil {
 		t.Fatal(err)
 	}
 
-	res, err := tuner.OnlineTune(newLSMEnv(seed+99), 6, true)
+	res, err := tuner.OnlineTune(context.Background(), newLSMEnv(seed+99), core.TuneOptions{Steps: 6, FineTune: true})
 	if err != nil {
 		t.Fatal(err)
 	}

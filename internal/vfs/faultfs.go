@@ -142,13 +142,6 @@ func (fs *FaultFS) AddFault(f Fault) {
 	fs.mu.Unlock()
 }
 
-// ClearFaults disarms all injection rules.
-func (fs *FaultFS) ClearFaults() {
-	fs.mu.Lock()
-	fs.faults = nil
-	fs.mu.Unlock()
-}
-
 // ---------------------------------------------------------------------------
 // nodes
 

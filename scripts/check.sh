@@ -25,6 +25,16 @@ echo "== non-test Go lines =="
 # The one agreed size figure "net-negative LOC" refers to.
 ./scripts/loc.sh
 
+echo "== unused exports =="
+# One entry point per verb stays one: an exported func or method under
+# internal/ that nothing else in the repo names is deleted, not kept.
+unused="$(./scripts/unused.sh)"
+if [ -n "$unused" ]; then
+    echo "exported but referenced nowhere (delete, or use):" >&2
+    echo "$unused" >&2
+    exit 1
+fi
+
 echo "== os.Rename lint =="
 # Atomic-write discipline: every durable file lands through nn.WriteAtomic
 # (temp file, fsync, rename, directory fsync) — the lease files, change
