@@ -1,0 +1,164 @@
+package main
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"os"
+	"os/exec"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"cdbtune/internal/metrics"
+	"cdbtune/internal/nn"
+)
+
+// Kernels is the numeric-layer ledger at the shape the benchmark's
+// full-catalog workloads pay for — 266 knobs, where the headline
+// train_step_us above it is a 20-knob agent — stamped like ModelPath
+// because it is refreshed on whatever box runs the tool: the µs and
+// allocations of one DDPG update, the critic-sized Adam step inside it,
+// and the three GEMMs' serial GFLOP/s on each kernel path the host has.
+// EXPERIMENTS.md ("Hot-path bench baseline") records the trajectory.
+type Kernels struct {
+	Measured   string `json:"measured"`
+	GoMaxProcs int    `json:"gomaxprocs"`
+	// SIMD is the path internal/mat selected on this host: "avx2" or
+	// "portable".
+	SIMD string `json:"simd"`
+
+	TrainStep266US     float64 `json:"train_step_266_us"`
+	TrainStep266Allocs float64 `json:"train_step_266_allocs"`
+	AdamStepUS         float64 `json:"adam_step_us"`
+
+	// GEMMGflops is operation ("mul", "mult", "tmul") → path → GFLOP/s at
+	// batch 64, 256→256.
+	GEMMGflops map[string]map[string]float64 `json:"gemm_gflops"`
+}
+
+var gemmOps = []string{"mul", "mult", "tmul"}
+
+func measureKernels(benchtime time.Duration, reps int) (Kernels, error) {
+	k := Kernels{Measured: time.Now().UTC().Format(time.RFC3339), GoMaxProcs: goMaxProcs()}
+
+	agent := newBenchAgent(266)
+	res := bench(benchtime, 2*reps, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok := agent.TrainStepInfo(); !ok {
+				b.Fatal("train step refused: memory underfilled")
+			}
+		}
+	})
+	k.TrainStep266US = float64(res.NsPerOp()) / 1e3
+	k.TrainStep266Allocs = float64(res.AllocsPerOp())
+
+	// The Table 5 critic's tensors at 63 metrics + 266 knobs (≈190 k
+	// weights): the larger of the two optimizer steps in an update.
+	in := metrics.NumMetrics + 266
+	net := nn.NewNetwork(nn.NewDense(in, 256), nn.NewDense(256, 256), nn.NewDense(256, 64), nn.NewDense(64, 1))
+	rng := rand.New(rand.NewSource(13))
+	net.InitUniform(rng, 0.1)
+	opt := nn.NewAdam(net, 1e-3)
+	opt.WeightDecay = 1e-4
+	res = bench(benchtime, reps, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			opt.Step()
+		}
+	})
+	k.AdamStepUS = float64(res.NsPerOp()) / 1e3
+
+	var err error
+	k.GEMMGflops, err = measureGEMMPaths(benchtime)
+	if _, ok := k.GEMMGflops["mul"]["avx2"]; ok {
+		k.SIMD = "avx2"
+	} else {
+		k.SIMD = "portable"
+	}
+	return k, err
+}
+
+// measureGEMMPaths runs internal/mat's BenchmarkGEMMPaths — the path
+// switch is unexported, so only that package's own benchmark can time the
+// portable kernels on an AVX2 host — and parses its GFLOP/s column. It
+// must run from the module root, like every `go run ./cmd/benchjson`.
+func measureGEMMPaths(benchtime time.Duration) (map[string]map[string]float64, error) {
+	cmd := exec.Command("go", "test", "-run", "^$", "-bench", "^BenchmarkGEMMPaths$",
+		"-benchtime", benchtime.String(), "./internal/mat")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go test -bench BenchmarkGEMMPaths: %w: %s", err, stderr.String())
+	}
+	rows := map[string]map[string]float64{}
+	sc := bufio.NewScanner(bytes.NewReader(out))
+	for sc.Scan() {
+		// BenchmarkGEMMPaths/mul/avx2-2  300  363622 ns/op  23.07 GFLOP/s
+		f := strings.Fields(sc.Text())
+		if len(f) < 6 || f[len(f)-1] != "GFLOP/s" {
+			continue
+		}
+		name := strings.Split(f[0], "/")
+		if len(name) != 3 {
+			continue
+		}
+		op, path := name[1], name[2]
+		if i := strings.LastIndexByte(path, '-'); i >= 0 {
+			path = path[:i]
+		}
+		g, err := strconv.ParseFloat(f[len(f)-2], 64)
+		if err != nil {
+			return nil, fmt.Errorf("BenchmarkGEMMPaths: %q: %w", sc.Text(), err)
+		}
+		if rows[op] == nil {
+			rows[op] = map[string]float64{}
+		}
+		rows[op][path] = g
+	}
+	return rows, nil
+}
+
+// check reports what a valid kernels block must carry.
+func (k Kernels) check() error {
+	if k.SIMD != "avx2" && k.SIMD != "portable" {
+		return fmt.Errorf("kernels.simd = %q, want avx2 or portable", k.SIMD)
+	}
+	if k.TrainStep266US <= 0 || k.AdamStepUS <= 0 {
+		return fmt.Errorf("kernels: non-positive measurements (train_step_266_us=%v, adam_step_us=%v)", k.TrainStep266US, k.AdamStepUS)
+	}
+	for _, op := range gemmOps {
+		for _, path := range []string{k.SIMD, "portable"} {
+			if k.GEMMGflops[op][path] <= 0 {
+				return fmt.Errorf("kernels.gemm_gflops.%s.%s has no measurement", op, path)
+			}
+		}
+	}
+	return nil
+}
+
+// mergeKernels measures the kernels block alone and rewrites it into the
+// report at path, leaving every other row as recorded: the rows above it
+// are anchored to the reference machine and are not this box's to touch.
+func mergeKernels(path string, benchtime time.Duration, reps int) error {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	var r Report
+	if err := json.Unmarshal(raw, &r); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	if r.Kernels, err = measureKernels(benchtime, reps); err != nil {
+		return err
+	}
+	enc, err := json.MarshalIndent(r, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(enc, '\n'), 0o644)
+}

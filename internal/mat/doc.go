@@ -5,23 +5,65 @@
 // # Kernel contract
 //
 // The GEMM entry points (Mul, MulT, TMul, TMulAdd) are the training and
-// inference hot path and are written for throughput: k-fused blocked
-// inner kernels (four terms per pass over the destination row) with a
-// goroutine-parallel row-partitioned variant that engages automatically
-// when the kernel exceeds gemmMinParallelFlops of work and GOMAXPROCS
-// permits. The parallel split assigns every destination row to exactly
-// one worker running the identical serial kernel, so parallel results
-// are bit-for-bit identical to serial ones at any worker count; the
-// blocked kernels themselves may differ from a textbook triple loop
-// only by floating-point summation order (bounded by the usual ~1e-12
-// relative error at these operand scales, and covered by the
-// serial-equivalence tests).
+// inference hot path. Two kernel paths sit under them and produce the
+// same bits:
 //
-// The kernels preserve full IEEE semantics: every product a[i][k]·b[k][j]
-// is evaluated, with no sparsity short-circuits, so NaN and Inf values
-// propagate through matmuls even when the opposite coefficient is zero.
-// The DDPG learner's NaN-batch skip and the learner-health Supervisor
-// depend on this guarantee.
+//   - The portable Go kernels, the only path off amd64 and on amd64 CPUs
+//     without AVX2: k-fused axpy kernels (eight k-terms per pass over a
+//     destination row, then four, then one) for Mul/TMul/TMulAdd, and for
+//     MulT a four-column inner-product sweep (dot4) with dotUnrolled for
+//     the last b.Rows%4 columns.
+//   - The AVX2 tile kernels (gemm_amd64.s), selected once at package init
+//     from CPUID (AVX2 present, YMM state enabled by the OS) and by
+//     nothing else — no environment variable, build tag or setting. A
+//     tile is 4 rows × 8 columns of the destination held in YMM
+//     registers for the whole k loop. SIMD lanes span output columns j,
+//     never k, so each destination element still receives its products
+//     one at a time in ascending k, each product rounded before it is
+//     added: VMULPD then VADDPD, deliberately not FMA.
+//
+// That is the order the portable kernels already use. The axpy chain
+// adds ((dst + a₀b₀) + a₁b₁) + … left to right for every column it
+// processes in pairs, and dot4 accumulates a·b from +0 in ascending k;
+// so Mul, TMul, TMulAdd and MulT are bit-for-bit identical across the
+// two paths — ±0, denormals, ±Inf and NaN included (which payload a
+// NaN carries when both addends are NaN is pinned by neither path). Two
+// kinds of column sum in a different order in the portable kernels and
+// therefore stay with them on every host: the odd last column of an
+// axpy pass (it totals its eight products before adding dst) and MulT's
+// b.Rows%4 dotUnrolled columns (four interleaved partial sums). The SIMD
+// path covers columns below n&^3 and hands the rest to the portable
+// code. MulT reaches the tile kernels through a transposed copy of eight
+// rows of b at a time, packed into a 16 KiB buffer on the caller's
+// stack; nothing is allocated. TestSIMDBitIdenticalToPortable holds the
+// two paths to this over every remainder class, unaligned operands and
+// special values.
+//
+// FMA would roughly double SIMD throughput again, and is not used: a
+// fused multiply-add rounds once where these kernels round twice, so
+// every trained weight, every deployed configuration and the benchmark's
+// result_digest would change. Trading bits for that speed is a separate
+// decision, not a side effect of a kernel. For the same reason the
+// contract is stated for the default GOAMD64=v1, which `go test` and
+// benchmark/run.sh build with: under GOAMD64=v3 the Go compiler may
+// itself fuse the portable kernels' multiply-adds, and the two paths
+// then differ in the last bit.
+//
+// A goroutine-parallel row-partitioned variant engages automatically
+// when a product exceeds gemmMinParallelFlops of work (a figure that
+// follows the kernel path, since the SIMD tiles do four times the flops
+// in the time a processor takes to wake) and GOMAXPROCS permits. The split assigns every destination row to exactly one worker
+// running the identical serial kernel, so parallel results are
+// bit-for-bit identical to serial ones at any worker count. Against a
+// textbook triple loop the kernels differ at most in the columns named
+// above, by floating-point summation order (≈1e-12 relative at these
+// operand scales; covered by the serial-equivalence tests).
+//
+// The kernels preserve full IEEE semantics on both paths: every product
+// a[i][k]·b[k][j] is evaluated, with no sparsity short-circuits, so NaN
+// and Inf values propagate through matmuls even when the opposite
+// coefficient is zero. The DDPG learner's NaN-batch skip and the
+// learner-health Supervisor depend on this guarantee.
 //
 // # Aliasing and concurrency
 //

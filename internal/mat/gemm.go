@@ -8,7 +8,7 @@ import (
 
 // The GEMM kernels below are the training hot path: every Dense
 // Forward/Backward and every critic pass bottoms out here. They share
-// three design rules:
+// four design rules (doc.go states the contract callers may rely on):
 //
 //   - Full IEEE semantics: every a[i][k]·b[k][j] product is computed.
 //     There is deliberately no "skip zero coefficient" short-circuit —
@@ -17,9 +17,17 @@ import (
 //     through matmuls instead of being silently swallowed (a ReLU-sparse
 //     activation against a poisoned weight would otherwise hide the
 //     corruption).
-//   - k-fused blocking: the innermost axpy/dot kernels consume four
-//     k-terms per pass over the destination row, quartering the
-//     load/store traffic on dst relative to one-axpy-per-k.
+//   - k-fused blocking: the portable axpy kernels consume eight k-terms
+//     per pass over the destination row (four, then one, for the
+//     remainder), cutting the load/store traffic on dst eightfold
+//     relative to one-axpy-per-k.
+//   - Two paths, one result: on amd64 with AVX2 (useAVX2, decided from
+//     CPUID at init) the columns below n&^3 of every product go through
+//     the register-tiled SIMD kernels of gemm_amd64.s, whose lanes span
+//     output columns so that each element still adds its k terms in the
+//     portable kernels' order; the last n%4 columns, and every column on
+//     any other host, go through the portable kernels. The two paths
+//     agree bit for bit.
 //   - Row partitioning: above gemmMinParallelFlops of work (and with
 //     GOMAXPROCS > 1) the destination rows are split across goroutines.
 //     Each row is produced by exactly one worker running the identical
@@ -32,8 +40,22 @@ import (
 
 // gemmMinParallelFlops is the approximate kernel cost (2·m·k·n floating
 // point operations) below which goroutine fan-out costs more than it
-// buys. It is a variable so tests can force the parallel path.
-var gemmMinParallelFlops = 1 << 18
+// buys. Waking a parked processor for the spawned chunk costs a roughly
+// fixed ≈ 120 µs on the 2-vCPU box the benchmark runs on, whichever
+// kernels then run, so the figure follows the kernel path: the SIMD
+// tiles do four times the flops in that time. On them a train step —
+// whose second core is already busy with the overlapped target pass — is
+// fastest with every batch-64 product of the shipped networks (the
+// largest, 64×256×256, is 1<<23) left serial; on the portable kernels
+// the products from 64×128×128 up still gain. Measurements for both in
+// EXPERIMENTS.md ("Parallel threshold"). It is a variable so tests can
+// force the parallel path.
+var gemmMinParallelFlops = func() int {
+	if useAVX2 {
+		return 1 << 24
+	}
+	return 1 << 21
+}()
 
 // gemmParallelWorthwhile reports whether a kernel of the given size
 // should fan out across goroutines. It is checked before the dispatch
@@ -44,7 +66,9 @@ func gemmParallelWorthwhile(rows, flops int) bool {
 }
 
 // gemmParallelRows splits [0, rows) across GOMAXPROCS workers, running
-// fn on each disjoint chunk, and returns once all chunks are done.
+// fn on each disjoint chunk, and returns once all chunks are done. The
+// last chunk runs on the calling goroutine, which would otherwise only
+// park: one spawn fewer per call, and the caller's processor stays busy.
 func gemmParallelRows(rows int, fn func(i0, i1 int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > rows {
@@ -52,17 +76,15 @@ func gemmParallelRows(rows int, fn func(i0, i1 int)) {
 	}
 	chunk := (rows + workers - 1) / workers
 	var wg sync.WaitGroup
-	for i0 := 0; i0 < rows; i0 += chunk {
-		i1 := i0 + chunk
-		if i1 > rows {
-			i1 = rows
-		}
+	i0 := 0
+	for ; i0+chunk < rows; i0 += chunk {
 		wg.Add(1)
-		go func(i0, i1 int) {
+		go func(i0 int) {
 			defer wg.Done()
-			fn(i0, i1)
-		}(i0, i1)
+			fn(i0, i0+chunk)
+		}(i0)
 	}
+	fn(i0, rows)
 	wg.Wait()
 }
 
@@ -84,30 +106,48 @@ func Mul(dst, a, b *Matrix) *Matrix {
 	return dst
 }
 
-// mulRows computes rows [i0, i1) of dst = a × b with the k loop fused
-// eight terms at a time (four for the remainder).
+// mulRows computes rows [i0, i1) of dst = a × b: columns below
+// b.Cols&^3 through the SIMD tiles where the host has them, the rest
+// (every column otherwise) through the portable kernels.
 func mulRows(dst, a, b *Matrix, i0, i1 int) {
+	j0 := 0
+	if useAVX2 && a.Cols > 0 {
+		j0 = b.Cols &^ 3
+		gemmAVX2(dst.Data, b.Cols, a.Data, a.Cols, 1, b.Data, b.Cols, a.Cols, j0, i0, i1, false)
+	}
+	if j0 < b.Cols {
+		mulRowsPortable(dst, a, b, i0, i1, j0)
+	}
+}
+
+// mulRowsPortable computes columns [j0, b.Cols) of rows [i0, i1) of
+// dst = a × b with the k loop fused eight terms at a time (four for the
+// remainder). j0 must be even: the axpy kernels pair columns from the
+// start of the slice they are handed and sum an odd last column in a
+// different order (see axpy8), so an even j0 leaves every column in the
+// role it has at j0 = 0.
+func mulRowsPortable(dst, a, b *Matrix, i0, i1, j0 int) {
 	kTotal := a.Cols
 	for i := i0; i < i1; i++ {
 		arow := a.Row(i)
-		drow := dst.Row(i)
+		drow := dst.Row(i)[j0:]
 		for j := range drow {
 			drow[j] = 0
 		}
 		k := 0
 		for ; k+7 < kTotal; k += 8 {
 			axpy8(drow,
-				b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3),
-				b.Row(k+4), b.Row(k+5), b.Row(k+6), b.Row(k+7),
+				b.Row(k)[j0:], b.Row(k + 1)[j0:], b.Row(k + 2)[j0:], b.Row(k + 3)[j0:],
+				b.Row(k + 4)[j0:], b.Row(k + 5)[j0:], b.Row(k + 6)[j0:], b.Row(k + 7)[j0:],
 				arow[k], arow[k+1], arow[k+2], arow[k+3],
 				arow[k+4], arow[k+5], arow[k+6], arow[k+7])
 		}
 		for ; k+3 < kTotal; k += 4 {
-			axpy4(drow, b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3),
+			axpy4(drow, b.Row(k)[j0:], b.Row(k + 1)[j0:], b.Row(k + 2)[j0:], b.Row(k + 3)[j0:],
 				arow[k], arow[k+1], arow[k+2], arow[k+3])
 		}
 		for ; k < kTotal; k++ {
-			axpyUnrolled(drow, b.Row(k), arow[k])
+			axpyUnrolled(drow, b.Row(k)[j0:], arow[k])
 		}
 	}
 }
@@ -131,7 +171,11 @@ func axpy4(dst, b0, b1, b2, b3 []float64, a0, a1, a2, a3 float64) {
 }
 
 // axpy8 computes dst += Σ aᵢ·bᵢ over eight fused terms; one load/store
-// round trip on dst serves sixteen flops per two-element step.
+// round trip on dst serves sixteen flops per two-element step. Paired
+// columns add their terms left to right onto dst — ((dst + a0·b0) + a1·b1)
+// + … — while an odd last column sums the eight products first and adds
+// dst to the total. The SIMD path reproduces the first order and leaves
+// the last columns, where the second can occur, to this code.
 func axpy8(dst, b0, b1, b2, b3, b4, b5, b6, b7 []float64, a0, a1, a2, a3, a4, a5, a6, a7 float64) {
 	n := len(dst)
 	b0, b1, b2, b3 = b0[:n], b1[:n], b2[:n], b3[:n]
@@ -184,13 +228,51 @@ func MulT(dst, a, b *Matrix) *Matrix {
 	return dst
 }
 
-// mulTRows computes rows [i0, i1) of dst = a × bᵀ, producing four
-// output columns per pass over a row of a.
+// mulTPanelK is the k extent of the packed bᵀ panel mulTRows keeps on
+// its stack: 8 columns × 256 k × 8 bytes = 16 KiB, resident in L1 while
+// every row tile sweeps it.
+const mulTPanelK = 256
+
+// mulTRows computes rows [i0, i1) of dst = a × bᵀ. dot4 walks k
+// contiguously along rows of b, so SIMD lanes cannot span output columns
+// in place: the SIMD path packs eight rows of b at a time, transposed,
+// into a stack panel and runs the column-lane tiles over that. dot4's
+// sum is the same ascending-k sum from +0 the tiles compute (a k range
+// longer than the panel continues from dst, which stores exactly), so
+// those columns are bit-identical; the b.Rows%4 columns dotUnrolled
+// produces, with its four partial sums, stay with dotUnrolled.
 func mulTRows(dst, a, b *Matrix, i0, i1 int) {
+	j0 := 0
+	if useAVX2 && a.Cols > 0 {
+		j0 = b.Rows &^ 3
+		var panel [mulTPanelK * 8]float64
+		for j := 0; j < j0; j += 8 {
+			w := min(8, j0-j)
+			for k0 := 0; k0 < a.Cols; k0 += mulTPanelK {
+				kc := min(mulTPanelK, a.Cols-k0)
+				for c := 0; c < w; c++ {
+					for k, v := range b.Row(j + c)[k0 : k0+kc] {
+						panel[k*w+c] = v
+					}
+				}
+				gemmAVX2(dst.Data[j:], b.Rows, a.Data[k0:], a.Cols, 1, panel[:], w, kc, w, i0, i1, k0 > 0)
+			}
+		}
+	}
+	if j0 < b.Rows {
+		mulTRowsPortable(dst, a, b, i0, i1, j0)
+	}
+}
+
+// mulTRowsPortable computes columns [j0, b.Rows) of rows [i0, i1) of
+// dst = a × bᵀ, producing four output columns per pass over a row of a.
+// j0 must be a multiple of 4 so the dot4/dotUnrolled boundary stays at
+// b.Rows&^3.
+func mulTRowsPortable(dst, a, b *Matrix, i0, i1, j0 int) {
 	for i := i0; i < i1; i++ {
 		arow := a.Row(i)
 		drow := dst.Row(i)
-		j := 0
+		j := j0
 		for ; j+7 < b.Rows; j += 8 {
 			drow[j], drow[j+1], drow[j+2], drow[j+3] =
 				dot4(arow, b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3))
@@ -277,12 +359,26 @@ func checkTMulShapes(op string, dst, a, b *Matrix) {
 }
 
 // tMulRows computes rows [i0, i1) of dst = aᵀ × b (dst row i is column
-// i of a swept against b), fusing four k-terms per pass. zero selects
-// overwrite (TMul) versus accumulate (TMulAdd) semantics.
+// i of a swept against b). zero selects overwrite (TMul) versus
+// accumulate (TMulAdd) semantics. The column split is mulRows'.
 func tMulRows(dst, a, b *Matrix, i0, i1 int, zero bool) {
+	j0 := 0
+	if useAVX2 && a.Rows > 0 {
+		j0 = b.Cols &^ 3
+		gemmAVX2(dst.Data, b.Cols, a.Data, 1, a.Cols, b.Data, b.Cols, a.Rows, j0, i0, i1, !zero)
+	}
+	if j0 < b.Cols {
+		tMulRowsPortable(dst, a, b, i0, i1, j0, zero)
+	}
+}
+
+// tMulRowsPortable computes columns [j0, b.Cols) of rows [i0, i1) of
+// dst (+)= aᵀ × b, fusing eight k-terms per pass. j0 must be even, as in
+// mulRowsPortable.
+func tMulRowsPortable(dst, a, b *Matrix, i0, i1, j0 int, zero bool) {
 	if zero {
 		for i := i0; i < i1; i++ {
-			drow := dst.Row(i)
+			drow := dst.Row(i)[j0:]
 			for j := range drow {
 				drow[j] = 0
 			}
@@ -293,24 +389,24 @@ func tMulRows(dst, a, b *Matrix, i0, i1 int, zero bool) {
 	for ; k+7 < kTotal; k += 8 {
 		a0, a1, a2, a3 := a.Row(k), a.Row(k+1), a.Row(k+2), a.Row(k+3)
 		a4, a5, a6, a7 := a.Row(k+4), a.Row(k+5), a.Row(k+6), a.Row(k+7)
-		b0, b1, b2, b3 := b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3)
-		b4, b5, b6, b7 := b.Row(k+4), b.Row(k+5), b.Row(k+6), b.Row(k+7)
+		b0, b1, b2, b3 := b.Row(k)[j0:], b.Row(k + 1)[j0:], b.Row(k + 2)[j0:], b.Row(k + 3)[j0:]
+		b4, b5, b6, b7 := b.Row(k + 4)[j0:], b.Row(k + 5)[j0:], b.Row(k + 6)[j0:], b.Row(k + 7)[j0:]
 		for i := i0; i < i1; i++ {
-			axpy8(dst.Row(i), b0, b1, b2, b3, b4, b5, b6, b7,
+			axpy8(dst.Row(i)[j0:], b0, b1, b2, b3, b4, b5, b6, b7,
 				a0[i], a1[i], a2[i], a3[i], a4[i], a5[i], a6[i], a7[i])
 		}
 	}
 	for ; k+3 < kTotal; k += 4 {
 		a0, a1, a2, a3 := a.Row(k), a.Row(k+1), a.Row(k+2), a.Row(k+3)
-		b0, b1, b2, b3 := b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3)
+		b0, b1, b2, b3 := b.Row(k)[j0:], b.Row(k + 1)[j0:], b.Row(k + 2)[j0:], b.Row(k + 3)[j0:]
 		for i := i0; i < i1; i++ {
-			axpy4(dst.Row(i), b0, b1, b2, b3, a0[i], a1[i], a2[i], a3[i])
+			axpy4(dst.Row(i)[j0:], b0, b1, b2, b3, a0[i], a1[i], a2[i], a3[i])
 		}
 	}
 	for ; k < kTotal; k++ {
-		arow, brow := a.Row(k), b.Row(k)
+		arow, brow := a.Row(k), b.Row(k)[j0:]
 		for i := i0; i < i1; i++ {
-			axpyUnrolled(dst.Row(i), brow, arow[i])
+			axpyUnrolled(dst.Row(i)[j0:], brow, arow[i])
 		}
 	}
 }

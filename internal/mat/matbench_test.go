@@ -49,3 +49,44 @@ func BenchmarkTMul(b *testing.B) {
 		TMul(d, a, x)
 	}
 }
+
+// BenchmarkGEMMPaths times the three products at the critic-trunk shape
+// (batch 64, 256→256) on each kernel path the host has, serially, and
+// reports GFLOP/s. cmd/benchjson runs it for the "kernels" block of
+// BENCH_hotpath.json: only this package can select the path.
+func BenchmarkGEMMPaths(b *testing.B) {
+	const m, k, n = 64, 256, 256
+	a, w, wt := New(m, k), New(k, n), New(n, k)
+	ta, tb := New(m, k), New(m, n)
+	for _, x := range []*Matrix{a, w, wt, ta, tb} {
+		for i := range x.Data {
+			x.Data[i] = 1 + float64(i%7)/8
+		}
+	}
+	dst, tdst := New(m, n), New(k, n)
+	ops := []struct {
+		name string
+		run  func()
+	}{
+		{"mul", func() { Mul(dst, a, w) }},
+		{"mult", func() { MulT(dst, a, wt) }},
+		{"tmul", func() { TMul(tdst, ta, tb) }},
+	}
+	paths := []string{"portable"}
+	if useAVX2 {
+		paths = []string{"avx2", "portable"}
+	}
+	defer func(simd bool, flops int) { useAVX2, gemmMinParallelFlops = simd, flops }(useAVX2, gemmMinParallelFlops)
+	gemmMinParallelFlops = 1 << 62
+	for _, op := range ops {
+		for _, path := range paths {
+			b.Run(op.name+"/"+path, func(b *testing.B) {
+				useAVX2 = path == "avx2"
+				for i := 0; i < b.N; i++ {
+					op.run()
+				}
+				b.ReportMetric(2*m*k*n*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
+			})
+		}
+	}
+}

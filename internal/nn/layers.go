@@ -52,12 +52,18 @@ func (d *Dense) Infer(x *mat.Matrix) *mat.Matrix {
 }
 
 // Backward implements Layer: accumulates dW = xᵀ·grad, db = Σ grad and
-// returns dx = grad·Wᵀ. The weight and bias gradients accumulate
-// directly into the Param tensors without intermediate products.
+// returns dx = grad·Wᵀ.
 func (d *Dense) Backward(grad *mat.Matrix) *mat.Matrix {
+	d.BackwardParams(grad)
+	return d.BackwardInput(grad)
+}
+
+// BackwardParams implements ParamGradOnly: the weight and bias gradients
+// accumulate directly into the Param tensors without intermediate
+// products, and dx = grad·Wᵀ is not computed.
+func (d *Dense) BackwardParams(grad *mat.Matrix) {
 	mat.TMulAdd(d.W.Grad, d.lastInput, grad)
 	grad.AddColSums(d.B.Grad.Data)
-	return d.BackwardInput(grad)
 }
 
 // BackwardInput implements InputGradOnly: dx = grad·Wᵀ, skipping the

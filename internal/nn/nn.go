@@ -141,6 +141,29 @@ func (n *Network) BackwardInput(grad *mat.Matrix) *mat.Matrix {
 	return grad
 }
 
+// ParamGradOnly is the mirror image of InputGradOnly: BackwardParams
+// accumulates the same parameter gradients as Backward without computing
+// the input gradient. A network's first layer implements it so that a
+// training pass — which differentiates with respect to the weights, not
+// the batch — does not compute and discard a gradient nobody reads.
+type ParamGradOnly interface {
+	BackwardParams(grad *mat.Matrix)
+}
+
+// BackwardParams is Backward for callers that do not need the gradient
+// with respect to the network input: every parameter gradient accumulates
+// exactly as in Backward, and the first layer, whose input gradient would
+// be the return value, skips it when it implements ParamGradOnly.
+func (n *Network) BackwardParams(grad *mat.Matrix) {
+	for i := len(n.Layers) - 1; i >= 0; i-- {
+		if l, ok := n.Layers[i].(ParamGradOnly); i == 0 && ok {
+			l.BackwardParams(grad)
+			return
+		}
+		grad = n.Layers[i].Backward(grad)
+	}
+}
+
 // Params returns every learnable parameter in layer order. The slice is
 // computed once and cached; callers must not append to it or reorder it.
 func (n *Network) Params() []*Param {

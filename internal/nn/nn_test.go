@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"cdbtune/internal/mat"
@@ -384,5 +385,83 @@ func TestInitializers(t *testing.T) {
 	}
 	if sum/100 > 0.05 {
 		t.Fatalf("normal(0,0.01) init too large: mean abs %v", sum/100)
+	}
+}
+
+// TestBackwardParamsMatchesBackward pins the ParamGradOnly contract:
+// BackwardParams accumulates bit-for-bit the parameter gradients Backward
+// does — only the unread input gradient of the first layer is skipped.
+func TestBackwardParamsMatchesBackward(t *testing.T) {
+	grads := func(params bool) []float64 {
+		rng := rand.New(rand.NewSource(31))
+		net := allocTestNet(rng)
+		x := mat.New(8, 16)
+		for i := range x.Data {
+			x.Data[i] = rng.NormFloat64()
+		}
+		grad := mat.New(8, 4)
+		for i := range grad.Data {
+			grad.Data[i] = rng.NormFloat64()
+		}
+		net.Forward(x, true)
+		if params {
+			net.BackwardParams(grad)
+		} else {
+			net.Backward(grad)
+		}
+		var gs []float64
+		for _, p := range net.Params() {
+			gs = append(gs, p.Grad.Data...)
+		}
+		return gs
+	}
+	want, got := grads(false), grads(true)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("grad[%d] = %v via BackwardParams, %v via Backward", i, got[i], want[i])
+		}
+	}
+}
+
+// TestAdamStepBitIdenticalAcrossGOMAXPROCS pins the optimizer's fan-out:
+// above adamMinParallel parameters Step cuts every tensor into per-worker
+// shares, and the weights must come out bit-for-bit those of the serial
+// update.
+func TestAdamStepBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	weights := func(procs int) []float64 {
+		runtime.GOMAXPROCS(procs)
+		rng := rand.New(rand.NewSource(37))
+		net := NewNetwork(NewDense(300, 301), NewTanh(), NewDense(301, 3))
+		net.InitUniform(rng, 0.1)
+		opt := NewAdam(net, 1e-3)
+		opt.WeightDecay = 1e-4
+		if opt.size < adamMinParallel {
+			t.Fatalf("test net has %d parameters, below the fan-out threshold %d", opt.size, adamMinParallel)
+		}
+		for step := 0; step < 3; step++ {
+			for _, p := range net.Params() {
+				for i := range p.Grad.Data {
+					p.Grad.Data[i] = rng.NormFloat64()
+				}
+			}
+			opt.Step()
+		}
+		var ws []float64
+		for _, p := range net.Params() {
+			for _, g := range p.Grad.Data {
+				if g != 0 {
+					t.Fatalf("Step left a gradient uncleared in %s", p.Name)
+				}
+			}
+			ws = append(ws, p.Value.Data...)
+		}
+		return ws
+	}
+	serial, parallel := weights(1), weights(3)
+	for i := range serial {
+		if serial[i] != parallel[i] {
+			t.Fatalf("weight %d: %v at GOMAXPROCS=1, %v at 3", i, serial[i], parallel[i])
+		}
 	}
 }

@@ -57,17 +57,10 @@ func (p *parallelDense) Forward(x *mat.Matrix, train bool) *mat.Matrix {
 // Backward implements nn.Layer, returning the gradient with respect to the
 // concatenated [state|action] input.
 func (p *parallelDense) Backward(grad *mat.Matrix) *mat.Matrix {
-	n := grad.Rows
-	sw := p.stateHead.Out
-	p.gs = mat.Reuse(p.gs, n, sw)
-	p.ga = mat.Reuse(p.ga, n, grad.Cols-sw)
-	for i := 0; i < n; i++ {
-		row := grad.Row(i)
-		copy(p.gs.Row(i), row[:sw])
-		copy(p.ga.Row(i), row[sw:])
-	}
+	p.splitGrad(grad)
 	ds := p.stateHead.Backward(p.gs)
 	da := p.actionHead.Backward(p.ga)
+	n := grad.Rows
 	p.din = mat.Reuse(p.din, n, p.stateDim+p.actionDim)
 	for i := 0; i < n; i++ {
 		row := p.din.Row(i)
@@ -77,9 +70,27 @@ func (p *parallelDense) Backward(grad *mat.Matrix) *mat.Matrix {
 	return p.din
 }
 
-// BackwardInput implements nn.InputGradOnly: the same input gradient as
-// Backward with the heads' weight-gradient GEMMs skipped.
-func (p *parallelDense) BackwardInput(grad *mat.Matrix) *mat.Matrix {
+// BackwardParams implements nn.ParamGradOnly: both heads accumulate their
+// weight and bias gradients and neither computes its input gradient —
+// the critic regression differentiates with respect to the weights only.
+func (p *parallelDense) BackwardParams(grad *mat.Matrix) {
+	p.splitGrad(grad)
+	p.stateHead.BackwardParams(p.gs)
+	p.actionHead.BackwardParams(p.ga)
+}
+
+// actionGrad returns the action half of the input gradient, ∇ₐ of the
+// layer's output against grad, touching neither head's parameter
+// gradients nor the state head at all. The result is the action head's
+// scratch, valid until its next backward pass.
+func (p *parallelDense) actionGrad(grad *mat.Matrix) *mat.Matrix {
+	p.splitGrad(grad)
+	return p.actionHead.BackwardInput(p.ga)
+}
+
+// splitGrad copies the two heads' halves of an output gradient into the
+// gs and ga scratch.
+func (p *parallelDense) splitGrad(grad *mat.Matrix) {
 	n := grad.Rows
 	sw := p.stateHead.Out
 	p.gs = mat.Reuse(p.gs, n, sw)
@@ -89,15 +100,6 @@ func (p *parallelDense) BackwardInput(grad *mat.Matrix) *mat.Matrix {
 		copy(p.gs.Row(i), row[:sw])
 		copy(p.ga.Row(i), row[sw:])
 	}
-	ds := p.stateHead.BackwardInput(p.gs)
-	da := p.actionHead.BackwardInput(p.ga)
-	p.din = mat.Reuse(p.din, n, p.stateDim+p.actionDim)
-	for i := 0; i < n; i++ {
-		row := p.din.Row(i)
-		copy(row[:p.stateDim], ds.Row(i))
-		copy(row[p.stateDim:], da.Row(i))
-	}
-	return p.din
 }
 
 // Params implements nn.Layer.
@@ -111,18 +113,21 @@ type critic struct {
 	network             *nn.Network
 	stateDim, actionDim int
 
-	x               *mat.Matrix // forward concat scratch
-	dState, dAction *mat.Matrix // backward split scratch
+	// heads is network.Layers[0] and trunk a second view of the layers
+	// after it: the actor update back-propagates through the trunk and
+	// then asks the heads for the action gradient alone.
+	heads *parallelDense
+	trunk *nn.Network
+
+	x *mat.Matrix // forward concat scratch
 }
 
 // newCritic assembles the Table 5 critic: parallel heads, leaky ReLU,
 // Dense→Tanh→Dropout trunk stages, and a scalar output.
 func newCritic(cfg Config, rng *rand.Rand) *critic {
 	hidden := cfg.CriticHidden
-	layers := []nn.Layer{
-		newParallelDense(cfg.StateDim, cfg.ActionDim, hidden[0]),
-		nn.NewLeakyReLU(0.2),
-	}
+	heads := newParallelDense(cfg.StateDim, cfg.ActionDim, hidden[0])
+	layers := []nn.Layer{heads, nn.NewLeakyReLU(0.2)}
 	in := hidden[0]
 	for i, h := range hidden[1:] {
 		layers = append(layers, nn.NewDense(in, h), nn.NewTanh())
@@ -136,6 +141,8 @@ func newCritic(cfg Config, rng *rand.Rand) *critic {
 		network:   nn.NewNetwork(layers...),
 		stateDim:  cfg.StateDim,
 		actionDim: cfg.ActionDim,
+		heads:     heads,
+		trunk:     nn.NewNetwork(layers[1:]...),
 	}
 }
 
@@ -155,32 +162,13 @@ func (c *critic) forward(states, actions *mat.Matrix, train bool) *mat.Matrix {
 	return c.network.Forward(c.x, train)
 }
 
-// backward propagates grad through the critic and splits the input
-// gradient into its state and action parts. The action part is the
-// ∇_a Q(s, a) term of the deterministic policy gradient. Both returned
-// matrices are scratch, valid until the next backward call.
-func (c *critic) backward(grad *mat.Matrix) (dState, dAction *mat.Matrix) {
-	return c.splitInputGrad(c.network.Backward(grad))
-}
-
-// backwardInput is backward without accumulating any critic parameter
-// gradient — the actor update only needs ∇_a Q, so the critic's
-// weight-gradient GEMMs are skipped entirely rather than computed and
-// zeroed.
-func (c *critic) backwardInput(grad *mat.Matrix) (dState, dAction *mat.Matrix) {
-	return c.splitInputGrad(c.network.BackwardInput(grad))
-}
-
-func (c *critic) splitInputGrad(dx *mat.Matrix) (dState, dAction *mat.Matrix) {
-	n := dx.Rows
-	c.dState = mat.Reuse(c.dState, n, c.stateDim)
-	c.dAction = mat.Reuse(c.dAction, n, c.actionDim)
-	for i := 0; i < n; i++ {
-		row := dx.Row(i)
-		copy(c.dState.Row(i), row[:c.stateDim])
-		copy(c.dAction.Row(i), row[c.stateDim:])
-	}
-	return c.dState, c.dAction
+// actionGrad propagates grad back through the critic and returns the
+// action part of the input gradient — the ∇_a Q(s, a) term of the
+// deterministic policy gradient, the only part the actor update reads —
+// without accumulating any critic parameter gradient. The result is
+// scratch, valid until the critic's next backward pass.
+func (c *critic) actionGrad(grad *mat.Matrix) *mat.Matrix {
+	return c.heads.actionGrad(c.trunk.BackwardInput(grad))
 }
 
 func (c *critic) initUniform(rng *rand.Rand, a float64) { c.network.InitUniform(rng, a) }

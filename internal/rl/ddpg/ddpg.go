@@ -487,7 +487,7 @@ func (a *Agent) TrainStepInfo() (StepInfo, bool) {
 		a.skippedBatches++
 		return StepInfo{CriticLoss: loss, SkippedNonFinite: true}, true
 	}
-	a.critic.backward(grad)
+	a.critic.net().BackwardParams(grad)
 	criticNorm := a.critic.net().ClipGradients(a.cfg.MaxGradNorm)
 	if !finite(criticNorm) {
 		a.skippedBatches++
@@ -536,10 +536,10 @@ func (a *Agent) TrainStepInfo() (StepInfo, bool) {
 	a.ones = mat.Reuse(a.ones, n, 1)
 	ones := a.ones
 	ones.Fill(-1.0 / float64(n)) // minimize −Q
-	// backwardInput leaves the critic's parameter gradients untouched
-	// (they are already zero after its optimizer step), so nothing needs
+	// actionGrad leaves the critic's parameter gradients untouched (they
+	// are already zero after its optimizer step), so nothing needs
 	// discarding afterwards.
-	_, dAction := a.critic.backwardInput(ones)
+	dAction := a.critic.actionGrad(ones)
 	if a.cfg.BCWeight > 0 && a.bcTarget != nil {
 		// Self-imitation: add the gradient of
 		// BCWeight·‖µ(s) − a_best‖²/n to the action gradient.
@@ -552,7 +552,7 @@ func (a *Agent) TrainStepInfo() (StepInfo, bool) {
 			}
 		}
 	}
-	a.actor.Backward(dAction)
+	a.actor.BackwardParams(dAction)
 	actorNorm := a.actor.ClipGradients(a.cfg.MaxGradNorm)
 	if !finite(actorLoss) || !finite(actorNorm) {
 		// The critic half of the update was finite and has been applied;

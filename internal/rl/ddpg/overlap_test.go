@@ -74,3 +74,31 @@ func TestTrainStepDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		}
 	}
 }
+
+// TestTrainStepAllocBoundTwoProcs bounds a serving-shape update's
+// allocations with a second processor available, which the nn package's
+// zero-allocation tests never see (testing.AllocsPerRun pins GOMAXPROCS
+// to 1, hence the hand count here). Every fan-out costs a goroutine and
+// a closure: on the AVX2 kernels only the overlapped target pass and the
+// two optimizers fan out (16 allocations a step); on the portable
+// kernels the larger GEMMs still split their rows (≈ 130). One spawn per
+// chunk with the caller parked, as before, was 252.
+func TestTrainStepAllocBoundTwoProcs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	a := newBenchmarkAgent(266)
+	for i := 0; i < 4; i++ {
+		a.TrainStepInfo()
+	}
+	const steps = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < steps; i++ {
+		if _, ok := a.TrainStepInfo(); !ok {
+			t.Fatal("train step refused to run")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if allocs := float64(after.Mallocs-before.Mallocs) / steps; allocs > 160 {
+		t.Fatalf("train step at GOMAXPROCS=2 allocates %.0f times, want ≤ 160", allocs)
+	}
+}

@@ -68,7 +68,15 @@ if [ -n "$vfs_hits" ]; then
 fi
 
 echo "== go vet =="
+# vet's asmdecl pass checks internal/mat's assembly stubs (argument
+# offsets, frame sizes) against their Go declarations.
 go vet ./...
+
+echo "== cross-build (arm64) =="
+# internal/mat has an amd64-only file set (the AVX2 kernels and their
+# dispatch); this proves the set every other architecture gets — the
+# portable kernels alone — still compiles. Needs no network.
+GOARCH=arm64 go build ./...
 
 echo "== go test (shuffled) =="
 go test -shuffle=on -timeout 120s ./...
