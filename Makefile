@@ -9,10 +9,12 @@ test:
 	$(GO) test ./...
 
 # check is the full verification gate: vet, the full test suite, a
-# race-detector pass (the parallel trainer shares one agent across
-# goroutines), a few seconds of fuzzing, and a single-iteration smoke run
-# of the contention benchmarks. It also prints scripts/loc.sh, the
-# non-test line count simplicity PRs are measured by.
+# race-detector pass (concurrent online tuning requests share one agent
+# under the Tuner's lock, and the server's session pool, the fleet nodes
+# and the registry leases are goroutines over shared state), a
+# fixed-count fuzz smoke, and the hot-path bench pipeline smoke. It also
+# prints scripts/loc.sh, the non-test line count simplicity PRs are
+# measured by.
 check:
 	./scripts/check.sh
 
@@ -76,17 +78,13 @@ divergence-smoke:
 drift-smoke:
 	$(GO) test -count=1 -timeout 120s -run 'TestDriftSmoke' ./internal/core/ -v
 
-# bench runs the replay-contention and batched-inference microbenchmarks,
-# then the hot-path kernel/train-step benchmarks, and refreshes the
+# bench runs the hot-path kernel/train-step benchmarks and refreshes the
 # tracked BENCH_hotpath.json trajectory (GEMM GFLOP/s, µs and allocs per
-# DDPG train step, batched-inference latency, episodes/sec, and the
-# speedups against the recorded naive baseline). -cpu 4 simulates four
-# training workers even on fewer cores; see EXPERIMENTS.md ("Replay
-# contention & batched inference" and "Hot-path bench baseline") for how
+# DDPG train step, episodes/sec, and the speedups against the recorded
+# naive baseline); see EXPERIMENTS.md ("Hot-path bench baseline") for how
 # to read the numbers.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkMemoryAddSample|BenchmarkActBatched' -benchtime=0.5s -cpu 4 .
 	$(GO) test -run '^$$' -bench 'BenchmarkMul|BenchmarkMulT|BenchmarkTMul' -benchtime=0.5s ./internal/mat/
-	$(GO) test -run '^$$' -bench 'BenchmarkTrainStepInfo|BenchmarkActBatch8' -benchtime=0.5s ./internal/rl/ddpg/
+	$(GO) test -run '^$$' -bench 'BenchmarkTrainStepInfo' -benchtime=0.5s ./internal/rl/ddpg/
 	$(GO) run ./cmd/benchjson -out BENCH_hotpath.json
 	$(GO) run ./cmd/benchjson -check BENCH_hotpath.json

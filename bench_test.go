@@ -8,15 +8,9 @@ package cdbtune_test
 // run. EXPERIMENTS.md records paper-vs-measured per experiment.
 
 import (
-	"math/rand"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"cdbtune/internal/expr"
-	"cdbtune/internal/metrics"
-	"cdbtune/internal/rl"
-	"cdbtune/internal/rl/ddpg"
 )
 
 // benchBudget is the per-bench compute budget; quick keeps the full suite
@@ -213,109 +207,4 @@ func BenchmarkAblationAction(b *testing.B) {
 		t, err := expr.AblationAction(benchBudget())
 		logTables(b, []expr.Table{t}, err)
 	}
-}
-
-// benchTransition builds a transition of realistic size: the 63-metric
-// state of §3.1 and a 20-knob action.
-func benchTransition(rng *rand.Rand) rl.Transition {
-	state := make([]float64, metrics.NumMetrics)
-	next := make([]float64, metrics.NumMetrics)
-	act := make([]float64, 20)
-	for i := range state {
-		state[i] = rng.Float64()
-		next[i] = rng.Float64()
-	}
-	for i := range act {
-		act[i] = rng.Float64()
-	}
-	return rl.Transition{State: state, Action: act, Reward: rng.NormFloat64(), NextState: next}
-}
-
-// contendMemory is the shared workload of BenchmarkMemoryAddSample: every
-// goroutine stores one transition per iteration and, every 8th iteration,
-// draws a 64-transition batch and feeds back TD errors — the trainer's
-// observe:sample ratio at UpdatesPerStep below 1. lock is nil for pools
-// that are concurrent-safe on their own (rl.ShardedMemory) and an external
-// mutex for the single-lock pools, emulating the agentMu discipline the
-// pre-sharding trainer used.
-func contendMemory(b *testing.B, mem rl.Memory, lock *sync.Mutex) {
-	b.Helper()
-	seedRng := rand.New(rand.NewSource(7))
-	for i := 0; i < 1024; i++ {
-		mem.Add(benchTransition(seedRng))
-	}
-	var seeds atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		rng := rand.New(rand.NewSource(100 + seeds.Add(1)))
-		tr := benchTransition(rng)
-		errs := make([]float64, 64)
-		n := 0
-		for pb.Next() {
-			if lock != nil {
-				lock.Lock()
-			}
-			mem.Add(tr)
-			if n%8 == 0 {
-				_, idx, _ := mem.Sample(rng, 64)
-				for i := range errs {
-					errs[i] = rng.NormFloat64()
-				}
-				mem.UpdatePriorities(idx, errs)
-			}
-			if lock != nil {
-				lock.Unlock()
-			}
-			n++
-		}
-	})
-}
-
-// BenchmarkMemoryAddSample measures replay-pool contention under
-// concurrent writers: the two single-lock pools behind one external mutex
-// (the old agentMu discipline) against the lock-striped sharded pool. Run
-// with -cpu 4 (or your worker count) to simulate parallel training
-// workers; EXPERIMENTS.md records reference numbers.
-func BenchmarkMemoryAddSample(b *testing.B) {
-	const capacity = 100_000
-	b.Run("uniform", func(b *testing.B) {
-		var mu sync.Mutex
-		contendMemory(b, rl.NewUniformMemory(capacity), &mu)
-	})
-	b.Run("prioritized", func(b *testing.B) {
-		var mu sync.Mutex
-		contendMemory(b, rl.NewPrioritizedMemory(capacity), &mu)
-	})
-	b.Run("sharded", func(b *testing.B) {
-		contendMemory(b, rl.NewShardedMemory(capacity, 8, true), nil)
-	})
-}
-
-// BenchmarkActBatched measures what the cross-worker inference batcher
-// buys: 8 action selections as 8 single-state forward passes versus one
-// batched 8-row pass through ddpg.Agent.ActBatch.
-func BenchmarkActBatched(b *testing.B) {
-	const nStates = 8
-	cfg := ddpg.DefaultConfig(metrics.NumMetrics, 20)
-	agent := ddpg.New(cfg)
-	rng := rand.New(rand.NewSource(3))
-	states := make([][]float64, nStates)
-	for i := range states {
-		states[i] = make([]float64, cfg.StateDim)
-		for j := range states[i] {
-			states[i][j] = rng.Float64()
-		}
-	}
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, s := range states {
-				agent.Act(s)
-			}
-		}
-	})
-	b.Run("batched", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			agent.ActBatch(states)
-		}
-	})
 }

@@ -1,10 +1,10 @@
 // Command benchjson measures the mat/nn/ddpg hot path and emits the
 // machine-readable BENCH_hotpath.json trajectory that `make bench`
 // tracks: GEMM throughput (GFLOP/s), µs and allocations per DDPG train
-// step, µs per batched inference pass, and end-to-end training
-// episodes per second. The recorded naive baseline (the kernels before
-// the pooled/blocked rewrite, measured on the same machine class) is
-// embedded so every emission carries its own speedup ratios.
+// step, and end-to-end training episodes per second. The recorded naive
+// baseline (the kernels before the pooled/blocked rewrite, measured on the
+// same machine class) is embedded so every emission carries its own
+// speedup ratios.
 //
 // Usage:
 //
@@ -43,7 +43,6 @@ import (
 type Baseline struct {
 	TrainStepUS     float64 `json:"train_step_us"`
 	TrainStepAllocs float64 `json:"train_step_allocs"`
-	ActBatch8US     float64 `json:"act_batch8_us"`
 	GEMMGflopsMul   float64 `json:"gemm_gflops_mul"`
 	EpisodesPerSec  float64 `json:"episodes_per_sec"`
 }
@@ -54,7 +53,6 @@ type Baseline struct {
 var recordedBaseline = Baseline{
 	TrainStepUS:     33028.9,
 	TrainStepAllocs: 336,
-	ActBatch8US:     194.8,
 	GEMMGflopsMul:   4.58,
 	EpisodesPerSec:  1.25,
 }
@@ -72,8 +70,6 @@ type Report struct {
 
 	TrainStepUS     float64 `json:"train_step_us"`
 	TrainStepAllocs float64 `json:"train_step_allocs"`
-	ActBatch8US     float64 `json:"act_batch8_us"`
-	ActBatch8Allocs float64 `json:"act_batch8_allocs"`
 	EpisodesPerSec  float64 `json:"episodes_per_sec"`
 
 	ModelPath ModelPath `json:"model_path"`
@@ -83,7 +79,6 @@ type Report struct {
 
 	TrainStepSpeedup    float64 `json:"train_step_speedup"`
 	TrainStepAllocRatio float64 `json:"train_step_alloc_reduction"`
-	ActBatchSpeedup     float64 `json:"act_batch_speedup"`
 }
 
 func main() {
@@ -215,25 +210,6 @@ func measure(benchtime time.Duration, reps, episodes int) Report {
 	r.TrainStepUS = float64(res.NsPerOp()) / 1e3
 	r.TrainStepAllocs = float64(res.AllocsPerOp())
 
-	// Batched inference: the 8-state ActBatch pass the cross-worker
-	// inference batcher issues.
-	states := make([][]float64, 8)
-	rng := rand.New(rand.NewSource(11))
-	for i := range states {
-		states[i] = make([]float64, metrics.NumMetrics)
-		for j := range states[i] {
-			states[i][j] = rng.Float64()
-		}
-	}
-	res = bench(benchtime, reps, func(b_ *testing.B) {
-		b_.ReportAllocs()
-		for i := 0; i < b_.N; i++ {
-			agent.ActBatch(states)
-		}
-	})
-	r.ActBatch8US = float64(res.NsPerOp()) / 1e3
-	r.ActBatch8Allocs = float64(res.AllocsPerOp())
-
 	// End-to-end offline training throughput on the simulator.
 	r.EpisodesPerSec = measureEpisodesPerSec(episodes)
 
@@ -251,9 +227,6 @@ func measure(benchtime time.Duration, reps, episodes int) Report {
 	}
 	if r.Baseline.TrainStepAllocs > 0 && r.TrainStepAllocs > 0 {
 		r.TrainStepAllocRatio = r.Baseline.TrainStepAllocs / r.TrainStepAllocs
-	}
-	if r.Baseline.ActBatch8US > 0 {
-		r.ActBatchSpeedup = r.Baseline.ActBatch8US / r.ActBatch8US
 	}
 	return r
 }
@@ -325,7 +298,6 @@ var requiredKeys = []string{
 	"gemm_gflops_mul",
 	"train_step_us",
 	"train_step_allocs",
-	"act_batch8_us",
 	"episodes_per_sec",
 	"model_path",
 	"kernels",

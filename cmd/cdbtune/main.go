@@ -63,7 +63,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  cdbtune train -workload <name> [-instance CDB-A] [-engine cdb-mysql|lsm|…] [-episodes 40] [-workers 1] [-shards 0] [-model model.bin] [-quiet]
+  cdbtune train -workload <name> [-instance CDB-A] [-engine cdb-mysql|lsm|…] [-episodes 40] [-model model.bin] [-quiet]
                 [-checkpoint train.ckpt] [-checkpoint-every 5] [-resume] [-chaos]
                 [-max-grad-norm 5] [-heal-budget 3] [-deadline 0] [-no-supervisor]
   cdbtune tune  -workload <name> [-instance CDB-A] [-engine cdb-mysql|lsm|…] [-steps 5] [-model model.bin] [-export my.cnf] [-chaos]
@@ -118,8 +118,6 @@ func cmdTrain(args []string) error {
 	iname := fs.String("instance", "CDB-A", "instance name (Table 1)")
 	ename := fs.String("engine", "cdb-mysql", "storage engine (see `cdbtune info`)")
 	episodes := fs.Int("episodes", 40, "training episodes")
-	workers := fs.Int("workers", 1, "parallel training environments")
-	shards := fs.Int("shards", 0, "replay memory shards (0 = auto: one per worker when workers > 1)")
 	model := fs.String("model", "model.bin", "output model path")
 	seed := fs.Int64("seed", 1, "random seed")
 	quiet := fs.Bool("quiet", false, "suppress per-episode telemetry")
@@ -149,13 +147,6 @@ func cmdTrain(args []string) error {
 	cfg := core.DefaultConfig(cat)
 	cfg.Seed = *seed
 	cfg.DDPG.ActionBias = cat.Defaults(inst.HW.RAMGB, inst.HW.DiskGB)
-	// -shards 0 shards the replay pool automatically for parallel runs so
-	// transition storage never queues behind gradient updates; a serial run
-	// keeps the single-lock pool and its exact serial determinism.
-	cfg.MemoryShards = *shards
-	if *shards == 0 && *workers > 1 {
-		cfg.MemoryShards = *workers
-	}
 	if *maxGradNorm != 0 {
 		cfg.DDPG.MaxGradNorm = *maxGradNorm
 	}
@@ -174,11 +165,9 @@ func cmdTrain(args []string) error {
 		}
 		return env.New(db, cat, w)
 	}
-	fmt.Printf("training CDBTune: %s on %s (%s), %d episodes, %d workers\n", w.Name, inst.Name, engine, *episodes, *workers)
-	var last core.EpisodeStats
+	fmt.Printf("training CDBTune: %s on %s (%s), %d episodes\n", w.Name, inst.Name, engine, *episodes)
 	opts := core.TrainOptions{
 		Episodes: *episodes,
-		Workers:  *workers,
 		Resume:   *resume,
 		Supervisor: core.SupervisorConfig{
 			Disabled:   *noSupervisor,
@@ -190,11 +179,8 @@ func cmdTrain(args []string) error {
 	} else if *resume {
 		return fmt.Errorf("train: -resume requires -checkpoint")
 	}
-	opts.OnEpisode = func(s core.EpisodeStats) {
-		last = s
-		if !*quiet {
-			fmt.Printf("  %s\n", s)
-		}
+	if !*quiet {
+		opts.OnEpisode = func(s core.EpisodeStats) { fmt.Printf("  %s\n", s) }
 	}
 	if *deadline > 0 {
 		ctx, cancel := context.WithTimeout(context.Background(), *deadline)
@@ -222,9 +208,6 @@ func cmdTrain(args []string) error {
 	}
 	fmt.Printf("episodes=%d iterations=%d crashes=%d best throughput=%.1f txn/sec (%.1f virtual hours)\n",
 		rep.Episodes, rep.Iterations, rep.Crashes, rep.BestPerf.Throughput, rep.VirtualSeconds/3600)
-	if rep.Episodes > 0 {
-		fmt.Printf("replay shards=%d  mean inference batch=%.2f\n", last.MemoryShards, last.InferBatchMean)
-	}
 	if rep.Faults.Any() || rep.WorkerDeaths > 0 || rep.LostEpisodes > 0 {
 		fmt.Printf("faults: %d transients, %d retries (%.0f vsec backoff), %d stalls (%.0f vsec), %d dropouts, %d worker deaths, %d lost episodes\n",
 			rep.Faults.Transients, rep.Faults.Retries, rep.Faults.RetrySec,

@@ -220,7 +220,7 @@ func run(id string, b expr.Budget) error {
 		}
 		printTable(t)
 	case "telemetry":
-		ts, err := expr.TrainingTelemetry(b, 4)
+		ts, err := expr.TrainingTelemetry(b)
 		if err != nil {
 			return err
 		}
@@ -259,7 +259,7 @@ experiments:
   crossengine                               one tuner vs four engine families (incl. LSM)
   qdqn ablation-replay ablation-action      design ablations
   findings ycsb-variants                    §5.2.3 findings + extensions
-  telemetry                                 parallel-training telemetry stream
+  telemetry                                 training telemetry stream
   serving                                   multi-tenant serving telemetry (warm starts, queue waits)
   timeline                                  24h dynamic-workload day with drift-aware re-tuning
   all                                       everything above

@@ -13,8 +13,9 @@
 // are global across every wrapped instance, which is what lets a test
 // script "the 7th stress test of this training run crashes" regardless
 // of which episode issues it. Probability draws consume one shared seeded
-// rng, so a serial run replays identically for a given seed; concurrent
-// workers interleave draws nondeterministically (like real outages do).
+// rng, so a training run replays identically for a given seed; databases
+// driven from several goroutines (concurrent serving sessions) interleave
+// draws nondeterministically, like real outages do.
 //
 // Above the measurement path, FleetPlan schedules process-level faults —
 // SIGKILLing a serve process, stalling its lease renewals past the TTL —

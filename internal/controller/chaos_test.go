@@ -89,12 +89,12 @@ func TestChaosSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := c.HandleTrainingRequest(mk, core.TrainOptions{
-		Episodes: killAfter, Workers: 2, Checkpoint: ck,
+		Episodes: killAfter, Checkpoint: ck,
 	}); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := c.HandleTrainingRequest(mk, core.TrainOptions{
-		Episodes: episodes, Workers: 2, Checkpoint: ck, Resume: true,
+		Episodes: episodes, Checkpoint: ck, Resume: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -210,9 +210,8 @@ func applyWithRetry(db env.Database, cat *knobs.Catalog, values []float64) error
 }
 
 // HandleTrainingRequest serves a DBA training request (§2.1.1): offline
-// training with the workload generator's standard workloads, optionally
-// across parallel training instances (§5.1's 30-server setup), with
-// whatever checkpoint/resume, respawn budget and telemetry hooks opts
+// training with the workload generator's standard workloads, with
+// whatever checkpoint/resume, lost-server budget and telemetry hooks opts
 // carries.
 func (c *Controller) HandleTrainingRequest(mkEnv core.EnvFactory, opts core.TrainOptions) (core.TrainReport, error) {
 	return c.cfg.Tuner.OfflineTrainOpts(mkEnv, opts)

@@ -140,7 +140,7 @@ func TestTrainingRequest(t *testing.T) {
 		t.Fatalf("Episodes = %d", rep.Episodes)
 	}
 	// Parallel path.
-	rep, err = c.HandleTrainingRequest(mk, core.TrainOptions{Episodes: 4, Workers: 2})
+	rep, err = c.HandleTrainingRequest(mk, core.TrainOptions{Episodes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

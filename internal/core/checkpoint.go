@@ -150,11 +150,9 @@ type persistentMemory interface {
 }
 
 // save captures the tuner's training state and writes it atomically. The
-// trainer calls it from its accounting section, so rep is a consistent
-// snapshot of completed-episode accounting; the agent state is captured
-// under the agent lock. With a sharded replay pool and concurrent workers
-// the memory snapshot is best-effort (transitions stored mid-snapshot may
-// be missed) — acceptable for replay experience.
+// trainer calls it between episodes, so rep is a consistent snapshot of
+// completed-episode accounting; the agent state is captured under the
+// agent lock.
 func (c *Checkpointer) save(t *Tuner, rep TrainReport) error {
 	blob := checkpointBlob{Version: checkpointVersion, Report: rep}
 

@@ -24,7 +24,7 @@ func TestCheckpointCRCDetectsCorruption(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.gob")
 	ck := &Checkpointer{Path: path, Every: 1}
 	if _, err := tn.OfflineTrainOpts(mkEnvFactory(cat, workload.SysbenchRW(), 60), TrainOptions{
-		Episodes: 2, Workers: 1, Checkpoint: ck,
+		Episodes: 2, Checkpoint: ck,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -68,15 +68,6 @@ type Config struct {
 	RewardClip  float64
 	RewardFloor float64
 
-	// MemoryShards, when ≥ 2, shards the replay memory pool across that
-	// many independently locked ring buffers (rounded up to a power of
-	// two; see rl.ShardedMemory), letting parallel training workers store
-	// experience without serializing behind the agent lock. 0 or 1 keeps
-	// the single-lock pool — and with it the exact serial-training
-	// determinism the equivalence tests pin down. Ignored when a
-	// fully-specified DDPG config already sets its own MemoryShards.
-	MemoryShards int
-
 	// CrashPenalty is the stored (post-scale) reward for a crashed step.
 	// The paper uses −100 raw; stored at full scale it dominates the
 	// squared critic loss and — because crashes co-occur with high values
@@ -116,32 +107,17 @@ type Tuner struct {
 	cfg   Config
 	agent *ddpg.Agent
 
-	// agentMu serializes access to the agent's networks, optimizers and
-	// rng: action selection, gradient updates, snapshot Save/Load and the
-	// self-imitation target. The replay memory is covered by it only when
-	// unsharded; with Config.MemoryShards ≥ 2 the pool synchronizes
-	// itself and observe bypasses this lock (see the package doc for the
-	// full concurrency contract).
+	// agentMu serializes access to the agent's networks, optimizers, rng
+	// and replay memory: action selection, storing transitions, gradient
+	// updates, snapshot Save/Load and the self-imitation target. It is what
+	// lets concurrent OnlineTune requests share one Tuner (see the package
+	// doc for the full concurrency contract).
 	agentMu sync.Mutex
 
-	// concMem records whether the agent's memory pool is internally
-	// synchronized (rl.ConcurrentMemory), letting observe skip agentMu;
-	// memShards is the pool's shard count (1 = single lock), surfaced in
-	// EpisodeStats.
-	concMem   bool
-	memShards int
-
-	// infer, when non-nil, is the batched inference front-end the
-	// parallel trainer installs for the duration of a multi-worker run:
-	// runEpisode routes action selection through it so concurrent workers
-	// share one forward pass per batch. Written only while no worker is
-	// running (set before the workers start, cleared after they join).
-	infer *inferBatcher
-
-	// super, when non-nil, is the learner-health supervisor the trainer
-	// installs for the duration of an offline training run. Like infer it
-	// is written only while no worker runs; trainUpdates consults it under
-	// agentMu after every gradient update.
+	// super, when non-nil, is the learner-health supervisor
+	// OfflineTrainOpts installs for the duration of a training run (set
+	// before the first episode, cleared when the run returns); trainUpdates
+	// consults it under agentMu after every gradient update.
 	super *Supervisor
 
 	mu         sync.Mutex
@@ -193,19 +169,10 @@ func New(cfg Config) (*Tuner, error) {
 	if cfg.CrashPenalty == 0 {
 		cfg.CrashPenalty = def.CrashPenalty
 	}
-	if cfg.MemoryShards > 1 && cfg.DDPG.MemoryShards == 0 {
-		cfg.DDPG.MemoryShards = cfg.MemoryShards
-	}
 	if cfg.DDPG.ActionDim != cfg.Cat.Len() {
 		return nil, fmt.Errorf("core: DDPG action dim %d != %d knobs", cfg.DDPG.ActionDim, cfg.Cat.Len())
 	}
-	t := &Tuner{cfg: cfg, agent: ddpg.New(cfg.DDPG)}
-	_, t.concMem = t.agent.Memory.(rl.ConcurrentMemory)
-	t.memShards = 1
-	if sm, ok := t.agent.Memory.(*rl.ShardedMemory); ok {
-		t.memShards = sm.ShardCount()
-	}
-	return t, nil
+	return &Tuner{cfg: cfg, agent: ddpg.New(cfg.DDPG)}, nil
 }
 
 // Config returns the tuner configuration.
@@ -236,13 +203,12 @@ type TrainReport struct {
 	// BestPerf is the best stress-test result seen during training.
 	BestPerf metrics.External
 	// VirtualSeconds is the simulated wall-clock cost summed over every
-	// training environment, snapshot probes included — the single-server
-	// cost, without the parallel-worker discount.
+	// training environment, snapshot probes included.
 	VirtualSeconds float64
 
-	// WorkerDeaths counts training workers lost mid-episode (the training
-	// server became unreachable) and respawned; their episodes were
-	// re-queued and run again.
+	// WorkerDeaths counts training servers lost mid-episode
+	// (simdb.ErrWorkerLost); each interrupted episode ran again on a fresh
+	// environment.
 	WorkerDeaths int
 	// LostEpisodes counts episodes abandoned after the instance could not
 	// be recovered (persistent crash or measurement failure). They still
@@ -266,9 +232,9 @@ type TrainReport struct {
 	// *DivergenceError carrying the full Diagnosis).
 	Learner LearnerReport
 
-	// Stalls counts stall-watchdog flags: a worker observed stuck
-	// mid-step for longer than TrainOptions.StallTimeout (each distinct
-	// stuck step is flagged once).
+	// Stalls counts stall-watchdog flags: the run observed stuck mid-step
+	// for longer than TrainOptions.StallTimeout (each distinct stuck step
+	// is flagged once).
 	Stalls int
 }
 
@@ -319,7 +285,7 @@ func (t *Tuner) maybeSnapshot(e *env.Env) error {
 	state := metrics.Normalize(base.State)
 	probeSteps := 3
 	for i := 0; i < probeSteps; i++ {
-		action := t.selectAction(state, false, nil)
+		action := t.selectAction(state, nil)
 		res, err := e.Step(action)
 		if err != nil {
 			if errors.Is(err, simdb.ErrCrashed) {
@@ -398,7 +364,7 @@ func (s epStats) meanReward() float64 {
 // the trainer should absorb (crash, exhausted transient retries, failed
 // deployment) rather than a programming or configuration error it must
 // surface. A lost training server is NOT benign for the episode — the
-// parallel trainer handles it by respawning the worker.
+// trainer handles it by running the episode again on a fresh environment.
 func benignFault(err error) bool {
 	if errors.Is(err, simdb.ErrWorkerLost) {
 		return false
@@ -427,13 +393,12 @@ func recoverEnv(e *env.Env) (simdb.Result, error) {
 }
 
 // runEpisode executes one try-and-error training episode on e: the agent
-// explores (drawing from noise, or the agent's own process when nil) and
-// learns. Environment faults are absorbed: transient failures that out-ran
-// env's retries skip the step, crashes recover to defaults, and an
-// instance that cannot be recovered ends the episode early (st.lost)
-// instead of aborting training. A cancelled ctx ends the episode with its
+// explores (drawing from noise) and learns. Environment faults are
+// absorbed: transient failures that out-ran env's retries skip the step,
+// crashes recover to defaults, and an instance that cannot be recovered
+// ends the episode early (st.lost) instead of aborting training. A cancelled ctx ends the episode with its
 // error (never absorbed); beat is called before every environment step so
-// the stall watchdog can see the worker making progress.
+// the stall watchdog can see the run making progress.
 func (t *Tuner) runEpisode(ctx context.Context, e *env.Env, noise rl.Noise, beat func()) (epStats, error) {
 	var st epStats
 	beat()
@@ -464,7 +429,7 @@ func (t *Tuner) runEpisode(ctx context.Context, e *env.Env, noise rl.Noise, beat
 			return st, err
 		}
 		beat()
-		action := t.selectAction(state, true, noise)
+		action := t.selectAction(state, noise)
 		e.Clock.Charge(RecommendSec)
 		res, err := e.Step(action)
 		t.mu.Lock()
@@ -545,19 +510,13 @@ func (t *Tuner) runEpisode(ctx context.Context, e *env.Env, noise rl.Noise, beat
 }
 
 // selectAction picks the next configuration for a training or probe step:
-// greedy µ(s), or µ(s) perturbed by the worker's noise fork when
-// exploring. During a multi-worker training run the request goes through
-// the inference batcher, sharing one forward pass with whatever other
-// workers are asking at the same time; otherwise it takes agentMu
-// directly.
-func (t *Tuner) selectAction(state []float64, train bool, noise rl.Noise) []float64 {
-	if b := t.infer; b != nil {
-		return b.act(state, train, noise)
-	}
+// µ(s) perturbed by explore (the run's noise fork), or greedy µ(s) when
+// explore is nil.
+func (t *Tuner) selectAction(state []float64, explore rl.Noise) []float64 {
 	t.agentMu.Lock()
 	defer t.agentMu.Unlock()
-	if train {
-		return t.agent.ActNoisyFrom(state, noise)
+	if explore != nil {
+		return t.agent.ActNoisy(state, explore)
 	}
 	return t.agent.Act(state)
 }
@@ -574,14 +533,7 @@ func (t *Tuner) noteBestAction(action []float64, tput float64) {
 }
 
 // observeRaw stores a transition whose reward is already in stored scale.
-// A sharded memory pool synchronizes itself, so storing skips agentMu
-// entirely and never waits behind another worker's gradient update; the
-// single-lock pools still require it.
 func (t *Tuner) observeRaw(tr rl.Transition) {
-	if t.concMem {
-		t.agent.Observe(tr)
-		return
-	}
 	t.agentMu.Lock()
 	t.agent.Observe(tr)
 	t.agentMu.Unlock()
@@ -601,8 +553,7 @@ func (t *Tuner) storedReward(raw float64) float64 {
 }
 
 // observe stores a transition in the memory pool, scaling and clipping
-// the reward per Config.RewardScale/RewardClip. Locking follows
-// observeRaw: agentMu only when the pool is unsharded.
+// the reward per Config.RewardScale/RewardClip.
 func (t *Tuner) observe(tr rl.Transition) {
 	tr.Reward = t.storedReward(tr.Reward)
 	t.observeRaw(tr)
@@ -773,7 +724,7 @@ func (t *Tuner) OnlineTune(ctx context.Context, e *env.Env, opts TuneOptions) (T
 		} else if opts.FineTune && step > 1 {
 			// Small exploration during fine-tuning adapts the standard
 			// model to the user's real workload.
-			action = t.agent.ActNoisy(state)
+			action = t.agent.ActNoisy(state, t.agent.Noise)
 		} else {
 			action = t.agent.Act(state)
 		}

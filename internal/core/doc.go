@@ -10,68 +10,44 @@
 // Each verb has one entry point and one options struct:
 // OfflineTrainOpts(mkEnv, TrainOptions) trains and OnlineTune(ctx, env,
 // TuneOptions) serves a request (the Opts suffix is the name the frozen
-// benchmark harness calls). A Tuner is safe for one of either at a time,
-// never both concurrently. Inside a parallel training run, worker
-// goroutines share the agent under this discipline:
+// benchmark harness calls). A Tuner carries one training run or any
+// number of concurrent online requests, never both at once.
 //
-//   - agentMu serializes everything that touches the agent's networks,
-//     optimizers or rng: action selection (Act/ActBatch/Perturb),
-//     gradient updates (TrainStep), Save/Load, taking and restoring the
-//     best-policy snapshot (Snapshot/SetWeights), and the self-imitation
-//     target.
-//   - Observe (storing a transition) is serialized by agentMu only when
-//     the replay pool is the default single-lock flavor. With
-//     Config.MemoryShards ≥ 2 the pool is an rl.ShardedMemory —
-//     internally lock-striped and safe for concurrent use — and workers
-//     store transitions without taking agentMu at all, so experience
-//     ingestion never waits behind another worker's gradient update.
-//   - Iterations and the best-snapshot bookkeeping take their own small
-//     locks; TrainOptions.OnEpisode hooks run under the trainer's
-//     accounting lock, serialized in episode-completion order.
-//   - The learner-health supervisor has no locking of its own: it is
-//     installed before workers start and cleared after they join (both
-//     under agentMu), and observe/heal/Stats are invoked only while
-//     agentMu is held — observe immediately after each TrainStep, Stats
-//     from the per-episode accounting section. Rollback (agent.Restore),
-//     LR backoff and noise backoff therefore never race a concurrent
-//     update. A *DivergenceError returned by observe propagates out of
-//     the episode as a fatal error; the trainer still finalizes a valid
+//   - Training is one goroutine: episodes run one after another on the
+//     caller's. The stress test is a simulator call and the gradient
+//     update is the episode, so there is nothing for a second worker to
+//     overlap. The learner-health supervisor is installed before the first
+//     episode and cleared when the run returns — plain sequential code; its
+//     observe/heal/Stats run right after each TrainStep and in the
+//     per-episode accounting. A *DivergenceError returned by observe ends
+//     the run as a fatal error; the trainer still finalizes a valid
 //     partial TrainReport (episode accounting, learner-health counters,
 //     diagnosis) on that path.
+//   - agentMu is what makes concurrent online requests safe (the
+//     controller serves them on one Tuner): it serializes everything that
+//     touches the agent's networks, optimizers, rng or replay memory —
+//     action selection, Observe, gradient updates (TrainStep), Save/Load,
+//     taking and restoring the best-policy snapshot, and the
+//     self-imitation target. The trainer takes it for the same calls, so
+//     every agent access in the package follows one rule.
+//   - Iterations takes its own small lock, so progress can be read while a
+//     run is in flight; TrainOptions.OnEpisode hooks run on the training
+//     goroutine, in episode order.
 //
 // # Cancellation contract
 //
 // TrainOptions.Ctx bounds a training run; OnlineTune's ctx bounds an
-// online request. The context is bound to each worker's
-// environment (env.Bind), which checks it on Step/Measure entry and
-// before every retry backoff — cancellation is never counted as a
-// measurement fault and never retried. Workers observe cancellation at
-// the next step boundary, the dispatcher stops handing out episodes, and
-// the run returns ctx.Err() alongside a valid partial report. The online
-// path deploys the best-known configuration before returning on
-// cancellation, so an abandoned request never leaves the instance on an
-// experimental config. TrainOptions.StallTimeout arms a watchdog that
-// flags (OnStall, TrainReport.Stalls) workers stuck inside one step
-// longer than the timeout; it observes per-worker heartbeats and never
-// touches the agent.
-//
-// Data flow of one parallel training step, with the batched inference
-// front-end the trainer installs when Workers ≥ 2:
-//
-//	workers ──states──► inferBatcher ──one ActBatch──► agent (agentMu)
-//	   ▲                                                  │
-//	   └────────────────actions (fan-out)─────────────────┘
-//	workers ──transitions──► sharded replay memory (no agentMu)
-//	workers ──TrainStep (sample + update)──► agent (agentMu)
-//
-// The batcher folds every in-flight action request (up to the worker
-// count, waiting at most a 200µs latency cap for stragglers) into one
-// forward pass, so a lone worker never stalls and N workers pay one lock
-// round-trip instead of N. The batcher preserves each worker's own
-// request/response ordering — a worker blocks until its action returns —
-// but makes no promise about cross-worker interleaving of observations
-// in the memory pool; replay sampling is random precisely so that order
-// does not matter (§2.2.4).
+// online request. The context is bound to each episode's environment
+// (env.Bind), which checks it on Step/Measure entry and before every retry
+// backoff — cancellation is never counted as a measurement fault and never
+// retried. A training run observes cancellation at the next step boundary,
+// starts no further episode, and returns ctx.Err() alongside a valid
+// partial report. The online path deploys the best-known configuration
+// before returning on cancellation, so an abandoned request never leaves
+// the instance on an experimental config. TrainOptions.StallTimeout arms a
+// watchdog goroutine that flags (OnStall, TrainReport.Stalls) a run stuck
+// inside one step longer than the timeout; it reads the run's heartbeat
+// and never touches the agent.
 //
 // # Drift detection and dynamic serving
 //
@@ -118,10 +94,8 @@
 // The nn layers reuse their output matrices across passes (see the
 // internal/nn package doc), so anything the agent returns from a pooled
 // buffer would be clobbered by the next forward pass. The agent API this
-// package consumes is therefore copy-out by contract: Act/ActBatch/
-// ActNoisy return freshly allocated action slices, never views into
-// network-owned scratch. That is what makes it safe for the batcher to
-// release agentMu and fan actions out to workers that read them after
-// another batch (or a concurrent TrainStep) has already run the actor
-// again.
+// package consumes is therefore copy-out by contract: Act and ActNoisy
+// return freshly allocated action slices, never views into network-owned
+// scratch, so an action stays valid after agentMu is released and another
+// request (or a TrainStep) runs the actor again.
 package core

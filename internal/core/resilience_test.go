@@ -45,7 +45,6 @@ func TestWorkerLostRespawns(t *testing.T) {
 	var stats []EpisodeStats
 	rep, err := tn.OfflineTrainOpts(chaosFactory(cat, w, 500, in), TrainOptions{
 		Episodes:  episodes,
-		Workers:   2,
 		OnEpisode: func(s EpisodeStats) { stats = append(stats, s) },
 	})
 	if err != nil {
@@ -92,7 +91,7 @@ func TestWorkerRespawnBudgetExhausts(t *testing.T) {
 		db := simdb.New(knobs.EngineCDB, simdb.CDBA, int64(ep))
 		return env.New(alwaysLost{Database: db}, cat, w)
 	}
-	rep, err := tn.OfflineTrainOpts(mk, TrainOptions{Episodes: 4, Workers: 2, MaxWorkerRespawns: 3})
+	rep, err := tn.OfflineTrainOpts(mk, TrainOptions{Episodes: 4, MaxWorkerRespawns: 3})
 	if err == nil {
 		t.Fatal("permanently dying workers must eventually fail the run")
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -115,7 +114,6 @@ func TestDivergenceHealsAndConverges(t *testing.T) {
 	}
 	rep, err := tn.OfflineTrainOpts(mkEnvFactory(cat, workload.SysbenchRW(), 300), TrainOptions{
 		Episodes: 30,
-		Workers:  1,
 		Supervisor: SupervisorConfig{
 			HealBudget:  20,
 			WarmupSteps: 8,
@@ -163,7 +161,6 @@ func TestDivergenceBudgetAborts(t *testing.T) {
 	}
 	rep, err := tn.OfflineTrainOpts(mkEnvFactory(cat, workload.SysbenchRW(), 300), TrainOptions{
 		Episodes: 30,
-		Workers:  1,
 		Supervisor: SupervisorConfig{
 			HealBudget:  -1, // abort on the first divergence
 			WarmupSteps: 8,
@@ -213,7 +210,6 @@ func TestDivergenceSmoke(t *testing.T) {
 	}
 	rep, err := tn.OfflineTrainOpts(mk, TrainOptions{
 		Episodes: 24,
-		Workers:  2,
 		Supervisor: SupervisorConfig{
 			QLimit:      200, // the honest Q scale of this reward function
 			WarmupSteps: 8,
@@ -270,7 +266,6 @@ func TestTrainDeadlineStopsPromptly(t *testing.T) {
 	start := time.Now()
 	rep, err := tn.OfflineTrainOpts(mk, TrainOptions{
 		Episodes: 500,
-		Workers:  3,
 		Ctx:      ctx,
 	})
 	elapsed := time.Since(start)
@@ -303,7 +298,6 @@ func TestTrainCtxCancelStopsMultiWorkerRun(t *testing.T) {
 	var after atomic.Int32
 	rep, err := tn.OfflineTrainOpts(mkEnvFactory(cat, workload.SysbenchRW(), 700), TrainOptions{
 		Episodes: 200,
-		Workers:  4,
 		Ctx:      ctx,
 		OnEpisode: func(s EpisodeStats) {
 			if after.Add(1) == 3 {
@@ -335,18 +329,12 @@ func TestStallWatchdogFlagsStuckWorker(t *testing.T) {
 		db := simdb.New(knobs.EngineCDB, simdb.CDBA, 40+int64(ep))
 		return env.New(&slowDB{Database: db, delay: 80 * time.Millisecond}, cat, workload.SysbenchRW())
 	}
-	var (
-		mu      sync.Mutex
-		flagged []int
-	)
+	var flagged atomic.Int32
 	rep, err := tn.OfflineTrainOpts(mk, TrainOptions{
 		Episodes:     2,
-		Workers:      1,
 		StallTimeout: 20 * time.Millisecond,
-		OnStall: func(worker int, stuck time.Duration) {
-			mu.Lock()
-			flagged = append(flagged, worker)
-			mu.Unlock()
+		OnStall: func(stuck time.Duration) {
+			flagged.Add(1)
 			if stuck < 20*time.Millisecond {
 				t.Errorf("flagged a stall of only %v", stuck)
 			}
@@ -358,15 +346,8 @@ func TestStallWatchdogFlagsStuckWorker(t *testing.T) {
 	if rep.Stalls == 0 {
 		t.Fatal("an 80 ms step under a 20 ms stall timeout must be flagged")
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(flagged) != rep.Stalls {
-		t.Fatalf("OnStall fired %d times but report counts %d stalls", len(flagged), rep.Stalls)
-	}
-	for _, wk := range flagged {
-		if wk != 0 {
-			t.Fatalf("flagged worker %d; only worker 0 ran", wk)
-		}
+	if got := int(flagged.Load()); got != rep.Stalls {
+		t.Fatalf("OnStall fired %d times but report counts %d stalls", got, rep.Stalls)
 	}
 }
 

@@ -2,11 +2,11 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"cdbtune/internal/env"
 	"cdbtune/internal/knobs"
-	"cdbtune/internal/metrics"
 	"cdbtune/internal/simdb"
 	"cdbtune/internal/workload"
 )
@@ -41,40 +41,9 @@ func sameSlice(a, b []float64) bool {
 	return true
 }
 
-// An explicit single worker must reproduce the default (Workers unset)
-// serial training exactly: same report, same annealing schedule, same final
-// policy — the one trainer is deterministic at one worker.
-func TestParallelSingleWorkerMatchesSerial(t *testing.T) {
-	cat := testCat(t)
-	w := workload.SysbenchRW()
-	run := func(workers int) (*Tuner, TrainReport) {
-		tn, err := New(testConfig(t, cat))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := tn.OfflineTrainOpts(mkEnvFactory(cat, w, 1000), TrainOptions{Episodes: 6, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tn, rep
-	}
-	tnSerial, repSerial := run(0)
-	tnPar, repPar := run(1)
-	if repSerial != repPar {
-		t.Fatalf("reports differ:\nserial   %+v\nparallel %+v", repSerial, repPar)
-	}
-	if got, want := tnPar.Agent().Noise.Scale(), tnSerial.Agent().Noise.Scale(); got != want {
-		t.Fatalf("noise scale %v, serial %v", got, want)
-	}
-	state := make([]float64, metrics.NumMetrics)
-	if !sameSlice(tnSerial.Agent().Act(state), tnPar.Agent().Act(state)) {
-		t.Fatal("single-worker parallel training produced a different policy than serial")
-	}
-}
-
-// With several workers the exploration scale must still follow the serial
-// annealing schedule — one decay per completed episode — and the telemetry
-// stream must report every episode exactly once.
+// The exploration scale must follow the annealing schedule — one decay per
+// completed episode — and the telemetry stream must report every episode
+// exactly once, in order.
 func TestParallelNoiseAnnealingAndTelemetry(t *testing.T) {
 	cat := testCat(t)
 	cfg := testConfig(t, cat)
@@ -82,11 +51,10 @@ func TestParallelNoiseAnnealingAndTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const episodes, workers = 8, 4
+	const episodes = 8
 	var recs []EpisodeStats
 	rep, err := tn.OfflineTrainOpts(mkEnvFactory(cat, workload.SysbenchRW(), 1100), TrainOptions{
 		Episodes:  episodes,
-		Workers:   workers,
 		OnEpisode: func(s EpisodeStats) { recs = append(recs, s) },
 	})
 	if err != nil {
@@ -95,11 +63,9 @@ func TestParallelNoiseAnnealingAndTelemetry(t *testing.T) {
 	if rep.Episodes != episodes || len(recs) != episodes {
 		t.Fatalf("episodes %d, telemetry records %d, want %d", rep.Episodes, len(recs), episodes)
 	}
-	// Replicate the canonical schedule: sigma·0.99 per completed episode,
-	// floored at MinSigma — the k-th record must sit on it no matter which
-	// worker ran the episode.
+	// Replicate the schedule: sigma·0.99 per completed episode, floored at
+	// MinSigma — the k-th record must sit on it.
 	sigma := cfg.DDPG.NoiseSigma
-	seen := make(map[int]bool)
 	var vsum float64
 	for k, r := range recs {
 		sigma *= 0.99
@@ -107,14 +73,10 @@ func TestParallelNoiseAnnealingAndTelemetry(t *testing.T) {
 			sigma = 0.01
 		}
 		if r.NoiseSigma != sigma {
-			t.Fatalf("record %d: sigma %v off the shared schedule %v", k, r.NoiseSigma, sigma)
+			t.Fatalf("record %d: sigma %v off the schedule %v", k, r.NoiseSigma, sigma)
 		}
-		if r.Episode < 0 || r.Episode >= episodes || seen[r.Episode] {
-			t.Fatalf("episode %d missing or reported twice", r.Episode)
-		}
-		seen[r.Episode] = true
-		if r.Worker < 0 || r.Worker >= workers {
-			t.Fatalf("worker id %d out of range", r.Worker)
+		if r.Episode != k {
+			t.Fatalf("record %d reports episode %d", k, r.Episode)
 		}
 		if r.Steps != cfg.StepsPerEpisode {
 			t.Fatalf("record %d: %d steps, want %d", k, r.Steps, cfg.StepsPerEpisode)
@@ -135,9 +97,8 @@ func TestParallelNoiseAnnealingAndTelemetry(t *testing.T) {
 	}
 }
 
-// The §C.1.1 convergence rule must fire on the parallel path too: with a
-// one-episode window and a huge tolerance, every episode after the first
-// counts as flat.
+// The §C.1.1 convergence rule across episodes: with a one-episode window
+// and a huge tolerance, every episode after the first counts as flat.
 func TestParallelConvergenceReported(t *testing.T) {
 	cat := testCat(t)
 	cfg := testConfig(t, cat)
@@ -147,7 +108,7 @@ func TestParallelConvergenceReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := tn.OfflineTrainOpts(mkEnvFactory(cat, workload.SysbenchRW(), 1200), TrainOptions{Episodes: 4, Workers: 2})
+	rep, err := tn.OfflineTrainOpts(mkEnvFactory(cat, workload.SysbenchRW(), 1200), TrainOptions{Episodes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,12 +128,34 @@ func TestParallelErrorDoesNotCountEpisodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := knobs.MySQL(knobs.EngineCDB).Subset([]int{0, 1})
-	rep, err := tn.OfflineTrainOpts(mkEnvFactory(other, workload.TPCC(), 1300), TrainOptions{Episodes: 4, Workers: 2})
+	rep, err := tn.OfflineTrainOpts(mkEnvFactory(other, workload.TPCC(), 1300), TrainOptions{Episodes: 4})
 	if err == nil {
 		t.Fatal("knob-count mismatch must error")
 	}
 	if rep.Episodes != 0 {
 		t.Fatalf("errored episodes counted as completed: %d", rep.Episodes)
+	}
+}
+
+// Training is serial: asking for more than one worker must fail loudly, not
+// run serially for a caller who believes the run is parallel.
+func TestTrainWorkersAboveOneRejected(t *testing.T) {
+	cat := testCat(t)
+	tn, err := New(testConfig(t, cat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	mk := mkEnvFactory(cat, workload.SysbenchRW(), 1350)
+	rep, err := tn.OfflineTrainOpts(func(ep int) *env.Env { calls++; return mk(ep) }, TrainOptions{Episodes: 2, Workers: 2})
+	if err == nil || !strings.Contains(err.Error(), "Workers") {
+		t.Fatalf("Workers: 2 must be rejected by name, got %v", err)
+	}
+	if calls != 0 || rep.Episodes != 0 {
+		t.Fatalf("rejected run still trained: %d envs built, %d episodes", calls, rep.Episodes)
+	}
+	if rep, err := tn.OfflineTrainOpts(mk, TrainOptions{Episodes: 1, Workers: 1}); err != nil || rep.Episodes != 1 {
+		t.Fatalf("Workers: 1 is the value the benchmark harness sets and must train: %v, %d episodes", err, rep.Episodes)
 	}
 }
 

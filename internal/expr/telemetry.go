@@ -3,7 +3,6 @@ package expr
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"cdbtune/internal/chaos"
 	"cdbtune/internal/core"
@@ -13,9 +12,8 @@ import (
 	"cdbtune/internal/workload"
 )
 
-// TrainingTelemetry runs a short parallel offline training (§5.1's
-// multi-server try-and-error, scaled to `workers` simulated training
-// servers) and reports the per-episode telemetry stream: exploration
+// TrainingTelemetry runs a short offline training (§5.1's try-and-error
+// loop) and reports the per-episode telemetry stream: exploration
 // annealing, reward and loss trajectories, crash counts and virtual time.
 // The training runs under a light seeded fault mix (transient measurement
 // failures, latency stalls, metric dropouts), so the stream also shows the
@@ -24,16 +22,10 @@ import (
 // faults against the counters the hardened loop reports, and closes with a
 // guardrail-protected online-tuning request against the same chaotic
 // instance class.
-func TrainingTelemetry(b Budget, workers int) ([]Table, error) {
-	if workers <= 0 {
-		workers = 4
-	}
+func TrainingTelemetry(b Budget) ([]Table, error) {
 	inst := simdb.CDBA
 	cat := knobs.MySQL(knobs.EngineCDB)
 	cfg := warmConfig(b, cat, inst)
-	// Shard the replay pool one-per-worker so the telemetry stream also
-	// exercises (and reports) the lock-striped ingestion path.
-	cfg.MemoryShards = workers
 	t, err := core.New(cfg)
 	if err != nil {
 		return nil, err
@@ -61,27 +53,20 @@ func TrainingTelemetry(b Budget, workers int) ([]Table, error) {
 		db := simdb.New(knobs.EngineCDB, inst, b.Seed+int64(ep))
 		return env.New(in.Wrap(db), cat, w)
 	}, core.TrainOptions{
-		Episodes: episodes,
-		Workers:  workers,
-		// The hook is invoked under the trainer's accounting lock, so the
-		// append needs no extra synchronization.
+		Episodes:  episodes,
 		OnEpisode: func(s core.EpisodeStats) { records = append(records, s) },
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Completion order is nondeterministic across workers; present the
-	// stream by episode index.
-	sort.Slice(records, func(i, j int) bool { return records[i].Episode < records[j].Episode })
 	stream := Table{
-		Title: fmt.Sprintf("Training telemetry (%d episodes, %d workers; converged=%v at iter %d, best %.1f txn/sec)",
-			rep.Episodes, workers, rep.Converged, rep.ConvergedAt, rep.BestPerf.Throughput),
-		Header: []string{"episode", "worker", "best tput", "mean reward", "critic loss", "actor loss", "sigma", "crashes", "faults", "retries", "skipped", "infer batch", "virtual sec"},
+		Title: fmt.Sprintf("Training telemetry (%d episodes; converged=%v at iter %d, best %.1f txn/sec)",
+			rep.Episodes, rep.Converged, rep.ConvergedAt, rep.BestPerf.Throughput),
+		Header: []string{"episode", "best tput", "mean reward", "critic loss", "actor loss", "sigma", "crashes", "faults", "retries", "skipped", "virtual sec"},
 	}
 	for _, s := range records {
 		stream.Rows = append(stream.Rows, []string{
 			fmt.Sprintf("%d", s.Episode),
-			fmt.Sprintf("%d", s.Worker),
 			fmtF(s.BestThroughput),
 			fmt.Sprintf("%+.3f", s.MeanReward),
 			fmt.Sprintf("%.4f", s.CriticLoss),
@@ -91,7 +76,6 @@ func TrainingTelemetry(b Budget, workers int) ([]Table, error) {
 			fmt.Sprintf("%d", s.Transients),
 			fmt.Sprintf("%d", s.Retries),
 			fmt.Sprintf("%d", s.SkippedSteps),
-			fmt.Sprintf("%.2f", s.InferBatchMean),
 			fmt.Sprintf("%.0f", s.VirtualSeconds),
 		})
 	}
@@ -105,7 +89,7 @@ func TrainingTelemetry(b Budget, workers int) ([]Table, error) {
 	})
 	tuneDB := simdb.New(knobs.EngineCDB, inst, b.Seed+9999)
 	guard := core.NewGuardrail(2, 0.05)
-	tuned, err := t.OnlineTune(context.TODO(), env.New(tuneIn.Wrap(tuneDB), cat, w), core.TuneOptions{Steps: 5, FineTune: true, Guard: guard})
+	tuned, err := t.OnlineTune(context.Background(), env.New(tuneIn.Wrap(tuneDB), cat, w), core.TuneOptions{Steps: 5, FineTune: true, Guard: guard})
 	if err != nil {
 		return nil, err
 	}

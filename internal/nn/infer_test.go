@@ -40,8 +40,8 @@ func TestInferMatchesEvalForward(t *testing.T) {
 
 // Infer between a training-mode Forward and its Backward must not disturb
 // the cached activations: the gradients must match a run without the
-// interleaved Infer. This is the property that lets the inference batcher
-// serve actions while a gradient update is mid-flight on another network.
+// interleaved Infer. This is the property ddpg.Agent.Act documents: acting
+// on a network never disturbs a gradient update pending on it.
 func TestInferDoesNotClobberBackwardState(t *testing.T) {
 	run := func(interleave bool) []float64 {
 		rng := rand.New(rand.NewSource(23))

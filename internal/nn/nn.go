@@ -70,7 +70,7 @@ type Inferrer interface {
 // Infer runs the batch x through every layer in evaluation mode without
 // recording backward state, falling back to eval-mode Forward for layers
 // that do not implement Inferrer. It is the inference fast path behind
-// the DDPG agent's Act/ActBatch: numerically identical to
+// the DDPG agent's Act: numerically identical to
 // Forward(x, false), but read-only on the network apart from parameter
 // values — callers still must not run it concurrently with an update that
 // mutates those parameters.

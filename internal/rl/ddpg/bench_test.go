@@ -49,17 +49,3 @@ func benchmarkTrainStep(b *testing.B, knobs int) {
 		}
 	}
 }
-
-func BenchmarkActBatch8(b *testing.B) {
-	a := newBenchmarkAgent(20)
-	rng := rand.New(rand.NewSource(4))
-	states := make([][]float64, 8)
-	for i := range states {
-		states[i] = randUnitSlice(rng, 63)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.ActBatch(states)
-	}
-}

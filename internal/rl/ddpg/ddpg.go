@@ -39,14 +39,6 @@ type Config struct {
 	MemoryCapacity int
 	Prioritized    bool // prioritized experience replay (§5.1)
 
-	// MemoryShards, when ≥ 2, splits the replay pool across that many
-	// independently locked shards (rounded up to a power of two; see
-	// rl.ShardedMemory) so concurrent Observe calls stop serializing
-	// behind the caller's agent lock — the package doc spells out which
-	// methods that exempts from locking. 0 or 1 keeps the single-lock
-	// pool, whose sampling sequence is exactly reproducible from Seed.
-	MemoryShards int
-
 	NoiseSigma float64 // initial exploration noise scale
 	// ExploreDims, when positive, perturbs only that many randomly chosen
 	// action dimensions per step instead of all of them. Isotropic noise
@@ -188,12 +180,9 @@ func New(cfg Config) *Agent {
 	a.criticOpt = nn.NewAdam(a.critic.net(), cfg.CriticLR)
 	a.criticOpt.WeightDecay = cfg.WeightDecay
 
-	switch {
-	case cfg.MemoryShards > 1:
-		a.Memory = rl.NewShardedMemory(cfg.MemoryCapacity, cfg.MemoryShards, cfg.Prioritized)
-	case cfg.Prioritized:
+	if cfg.Prioritized {
 		a.Memory = rl.NewPrioritizedMemory(cfg.MemoryCapacity)
-	default:
+	} else {
 		a.Memory = rl.NewUniformMemory(cfg.MemoryCapacity)
 	}
 	a.Noise = rl.NewOUNoise(cfg.NoiseSigma)
@@ -240,55 +229,16 @@ func (a *Agent) Act(state []float64) []float64 {
 	return append([]float64(nil), out.Data...)
 }
 
-// ActBatch returns µ(s) for every state in one batched eval-mode forward
-// pass — the path core's cross-worker inference batcher uses to amortize
-// the network traversal over concurrent action requests. Row i of the
-// result corresponds to states[i]. Like Act it must run under the
-// caller's agent lock (it reads the actor's parameters), but one call
-// serves the whole batch with a single traversal.
-func (a *Agent) ActBatch(states [][]float64) [][]float64 {
-	if len(states) == 0 {
-		return nil
-	}
-	x := mat.New(len(states), a.cfg.StateDim)
-	for i, s := range states {
-		copy(x.Row(i), s)
-	}
-	out := a.actor.Infer(x)
-	acts := make([][]float64, len(states))
-	for i := range acts {
-		acts[i] = append([]float64(nil), out.Row(i)...)
-	}
-	return acts
-}
-
-// ActNoisy returns µ(s) perturbed by exploration noise. Out-of-range
+// ActNoisy returns µ(s) perturbed by exploration noise drawn from src —
+// the agent's own Noise, or a fork of it that a training run holds so its
+// temporal state is not shared with other users of the agent. Out-of-range
 // values are reflected back into [0, 1] rather than clamped: clamping
 // piles a large fraction of exploration exactly onto the boundary values,
 // which for knobs like the buffer pool is the pathological corner of the
-// configuration space.
-func (a *Agent) ActNoisy(state []float64) []float64 {
-	return a.ActNoisyFrom(state, a.Noise)
-}
-
-// ActNoisyFrom is ActNoisy drawing perturbations from the given noise
-// process instead of the agent's own — parallel training workers each hold
-// a fork of a.Noise so the OU temporal state is not shared across
-// concurrent episodes. A nil src falls back to a.Noise.
-func (a *Agent) ActNoisyFrom(state []float64, src rl.Noise) []float64 {
-	return a.Perturb(a.Act(state), src)
-}
-
-// Perturb applies exploration noise from src (the agent's own process
-// when nil) to a greedy action in place and returns it. It consumes the
-// agent's rng, so it falls under the same caller-held lock as TrainStep;
-// core's inference batcher uses it to noise each exploring request of a
-// batch right after the shared ActBatch forward pass, inside one lock
-// acquisition.
-func (a *Agent) Perturb(act []float64, src rl.Noise) []float64 {
-	if src == nil {
-		src = a.Noise
-	}
+// configuration space. It consumes the agent's rng, so it falls under the
+// same caller-held lock as TrainStep.
+func (a *Agent) ActNoisy(state []float64, src rl.Noise) []float64 {
+	act := a.Act(state)
 	noise := src.Sample(a.rng, len(act))
 	k := a.cfg.ExploreDims
 	if k <= 0 || k >= len(act) {

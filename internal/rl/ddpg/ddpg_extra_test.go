@@ -43,7 +43,7 @@ func TestActNoisyAvoidsBoundaryPileup(t *testing.T) {
 	a := New(cfg)
 	var boundary, total int
 	for i := 0; i < 200; i++ {
-		act := a.ActNoisy([]float64{0.5, 0.5})
+		act := a.ActNoisy([]float64{0.5, 0.5}, a.Noise)
 		for _, v := range act {
 			total++
 			if v == 0 || v == 1 {

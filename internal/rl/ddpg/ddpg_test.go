@@ -31,7 +31,7 @@ func TestActShapesAndRange(t *testing.T) {
 			t.Fatalf("action %v out of (0,1)", v)
 		}
 	}
-	noisy := a.ActNoisy(state)
+	noisy := a.ActNoisy(state, a.Noise)
 	for _, v := range noisy {
 		if v < 0 || v > 1 {
 			t.Fatalf("noisy action %v out of [0,1]", v)
@@ -96,7 +96,7 @@ func TestLearnsBanditTarget(t *testing.T) {
 
 	for ep := 0; ep < 1200; ep++ {
 		s := []float64{rng.Float64(), rng.Float64()}
-		act := a.ActNoisy(s)
+		act := a.ActNoisy(s, a.Noise)
 		r := reward(s, act)
 		a.Observe(rl.Transition{State: s, Action: act, Reward: r, NextState: s, Done: true})
 		a.TrainStep()

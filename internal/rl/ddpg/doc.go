@@ -8,28 +8,17 @@
 // # Concurrency contract
 //
 // An Agent is not internally synchronized. Callers that share one agent
-// across goroutines (core's parallel trainer does) must hold a single
-// lock around every method that touches the networks, the optimizers or
-// the agent's rng:
+// across goroutines (core serves concurrent online tuning requests on one)
+// must hold a single lock around every method — all of them touch the
+// networks, the optimizers, the agent's rng or the replay memory:
 //
-//   - Act, ActBatch, ActNoisy, ActNoisyFrom, Perturb (rng and/or network
-//     reads that race with parameter updates)
-//   - TrainStep, TrainStepInfo (parameter updates)
+//   - Act, ActNoisy (rng and/or network reads that race with parameter
+//     updates)
+//   - Observe, TrainStep, TrainStepInfo (the replay pool; parameter
+//     updates)
 //   - Save, Load, ReadSnapshot, Snapshot, SetWeights, Restore,
 //     SetBCTarget, BCTarget, QValue
 //
 // A WeightSnapshot, once taken or decoded, is never written again: it may
 // be read (Save, Finite) without the lock.
-//
-// Observe is the one exception, and only conditionally: it does nothing
-// but Memory.Add, so when the agent was built with Config.MemoryShards
-// ≥ 2 — making Memory an rl.ConcurrentMemory — Observe is safe to call
-// concurrently with every other method and needs no lock at all. With the
-// default single-lock pools it must be serialized with Sample, i.e. with
-// TrainStep, under the caller's lock like everything else.
-//
-// Batched inference exists to shrink that critical section: ActBatch runs
-// one eval-mode forward pass (nn.Network.Infer, which writes no backward
-// caches) over many states, so N concurrent action requests cost one lock
-// acquisition and one network traversal instead of N.
 package ddpg

@@ -9,14 +9,13 @@ import (
 )
 
 // poisonTestConfig is a small agent sized for the property loop.
-func poisonTestConfig(shards int) Config {
+func poisonTestConfig() Config {
 	cfg := DefaultConfig(8, 4)
 	cfg.ActorHidden = []int{16, 16}
 	cfg.CriticHidden = []int{32, 16}
 	cfg.BatchSize = 16
 	cfg.MinMemory = 16
 	cfg.MemoryCapacity = 4096
-	cfg.MemoryShards = shards
 	cfg.Seed = 11
 	return cfg
 }
@@ -72,67 +71,59 @@ func assertAgentFinite(t *testing.T, a *Agent, context string) {
 }
 
 // TestPoisonedTransitionsNeverReachWeights is the replay-poison property
-// test: transitions carrying NaN/Inf in any field — stored through both
-// the single-lock and the sharded pool — must never propagate into
-// network weights or BatchNorm running statistics. Batches containing
+// test: transitions carrying NaN/Inf in any field must never propagate
+// into network weights or BatchNorm running statistics. Batches containing
 // them are discarded (SkippedBatches advances) and clean batches keep
 // training.
 func TestPoisonedTransitionsNeverReachWeights(t *testing.T) {
-	for _, shards := range []int{0, 4} {
-		cfg := poisonTestConfig(shards)
-		a := New(cfg)
-		if shards >= 2 {
-			if _, ok := a.Memory.(rl.ConcurrentMemory); !ok {
-				t.Fatalf("shards=%d: expected a concurrent pool", shards)
-			}
+	cfg := poisonTestConfig()
+	a := New(cfg)
+	rng := rand.New(rand.NewSource(23))
+	poisoned := 0
+	for i := 0; i < 400; i++ {
+		tr, bad := randTransition(rng, cfg.StateDim, cfg.ActionDim, 0.05)
+		if bad {
+			poisoned++
 		}
-		rng := rand.New(rand.NewSource(23))
-		poisoned := 0
-		for i := 0; i < 400; i++ {
-			tr, bad := randTransition(rng, cfg.StateDim, cfg.ActionDim, 0.05)
-			if bad {
-				poisoned++
-			}
-			a.Observe(tr)
-			info, ok := a.TrainStepInfo()
-			if !ok {
-				continue
-			}
-			if !info.SkippedNonFinite {
-				// A batch the agent accepted must have produced finite
-				// telemetry across the board.
-				for name, v := range map[string]float64{
-					"CriticLoss":     info.CriticLoss,
-					"CriticGradNorm": info.CriticGradNorm,
-					"MeanAbsQ":       info.MeanAbsQ,
-					"MaxWeight":      info.MaxWeight,
-				} {
-					if !finite(v) {
-						t.Fatalf("shards=%d step %d: accepted batch has non-finite %s = %v", shards, i, name, v)
-					}
+		a.Observe(tr)
+		info, ok := a.TrainStepInfo()
+		if !ok {
+			continue
+		}
+		if !info.SkippedNonFinite {
+			// A batch the agent accepted must have produced finite
+			// telemetry across the board.
+			for name, v := range map[string]float64{
+				"CriticLoss":     info.CriticLoss,
+				"CriticGradNorm": info.CriticGradNorm,
+				"MeanAbsQ":       info.MeanAbsQ,
+				"MaxWeight":      info.MaxWeight,
+			} {
+				if !finite(v) {
+					t.Fatalf("step %d: accepted batch has non-finite %s = %v", i, name, v)
 				}
 			}
-			if i%25 == 0 {
-				assertAgentFinite(t, a, "mid-run")
-			}
 		}
-		assertAgentFinite(t, a, "final")
-		if poisoned == 0 {
-			t.Fatal("property loop drew no poisoned transitions; raise the iteration count")
+		if i%25 == 0 {
+			assertAgentFinite(t, a, "mid-run")
 		}
-		if a.SkippedBatches() == 0 {
-			t.Errorf("shards=%d: %d poisoned transitions stored but no batch was skipped", shards, poisoned)
-		}
-		if a.TrainSteps() == 0 {
-			t.Errorf("shards=%d: no clean batch trained — the skip guard is rejecting everything", shards)
-		}
+	}
+	assertAgentFinite(t, a, "final")
+	if poisoned == 0 {
+		t.Fatal("property loop drew no poisoned transitions; raise the iteration count")
+	}
+	if a.SkippedBatches() == 0 {
+		t.Errorf("%d poisoned transitions stored but no batch was skipped", poisoned)
+	}
+	if a.TrainSteps() == 0 {
+		t.Error("no clean batch trained — the skip guard is rejecting everything")
 	}
 }
 
 // TestSkippedBatchLeavesWeightsUntouched pins the stronger invariant the
 // property test relies on: a skipped update changes no parameter at all.
 func TestSkippedBatchLeavesWeightsUntouched(t *testing.T) {
-	cfg := poisonTestConfig(0)
+	cfg := poisonTestConfig()
 	a := New(cfg)
 	rng := rand.New(rand.NewSource(5))
 	// Fill the pool entirely with poisoned rewards so every batch skips.

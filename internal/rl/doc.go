@@ -1,55 +1,21 @@
 // Package rl provides the reinforcement-learning building blocks shared by
-// CDBTune's agents: the experience replay memory pool (uniform, prioritized
-// and sharded), exploration noise processes, and the transition type.
+// CDBTune's agents: the experience replay memory pool (uniform and
+// prioritized), exploration noise processes, and the transition type.
 //
 // The paper calls the replay memory the "memory pool" (§2.2.4): each sample
 // is a transition (s_t, r_t, a_t, s_{t+1}) and batches are drawn at random
 // to break the sequential correlation between consecutive tuning steps.
 // §5.1 reports that prioritized experience replay [38] halves the number of
-// iterations to convergence, so both variants are provided; ShardedMemory
-// scales either variant across concurrent training workers.
+// iterations to convergence, so both variants are provided.
 //
 // # Concurrency contract
 //
-// UniformMemory and PrioritizedMemory are NOT safe for concurrent use.
-// Every method — Add, Sample, UpdatePriorities, Len, Transitions, Save,
-// Load — must be externally serialized; core's Tuner guards them with its
-// agent lock.
-//
-// ShardedMemory is safe for concurrent use by any number of goroutines
-// without external locking, and advertises that through the
-// ConcurrentMemory marker interface. Internally it is lock-striped: the
-// pool is split across a power-of-two number of shards, each a ring buffer
-// behind its own mutex, so concurrent Adds proceed in parallel and an
-// in-flight Sample only delays writers to the shard it is currently
-// reading. Each shard additionally mirrors its sampling mass and length
-// into lock-free atomics, so Sample's proportional-allocation snapshot
-// and Len read them without touching any mutex; both therefore observe a
-// moment-in-time view that can lag concurrent writers but never
-// overshoots the pool's true contents. The exceptions are Save and Load,
-// which snapshot/replace the whole pool and must not run concurrently
-// with other use (persistence happens at service startup and shutdown).
-//
-// # Sampling distribution of the sharded pool
-//
-// Add assigns transitions to shards round-robin off one atomic counter, so
-// shard occupancy stays balanced to within one transition regardless of
-// how many goroutines insert. Sample first snapshots every shard's
-// sampling mass — the stored-transition count for uniform shards, the
-// sum-tree root (total priority) for prioritized shards — then draws each
-// of the n batch slots from a shard chosen proportionally to that mass and
-// delegates the draw to the shard (uniform pick, or a priority-
-// proportional sum-tree descent). For a quiescent pool this reproduces the
-// unsharded distribution exactly: every transition is selected with
-// probability mass/totalMass per draw (1/Len for uniform). While writers
-// run concurrently, draws may use a slightly stale mass snapshot; the skew
-// is bounded by the transitions inserted during the call and decays to
-// zero as the pool fills. Prioritized importance weights are computed
-// against the global total mass and pool size and normalized by the batch
-// maximum, matching the single-tree implementation.
-//
-// Noise processes (OUNoise, GaussianNoise) are not safe for concurrent
-// use either: parallel workers must each hold their own Fork, with
-// Decay/SetScale applied on the canonical process under the caller's lock
-// (see core's trainer for the shared annealing schedule).
+// Nothing in this package is safe for concurrent use. Every method of
+// UniformMemory and PrioritizedMemory — Add, Sample, UpdatePriorities, Len,
+// Transitions, Save, Load — and of the noise processes (OUNoise,
+// GaussianNoise) must be externally serialized; core's Tuner guards the
+// agent that owns them with its agent lock. A training run that must not
+// share OU temporal state with other users of the agent holds its own Fork
+// and applies Decay/SetScale to the agent's process under that lock (see
+// core.OfflineTrainOpts).
 package rl

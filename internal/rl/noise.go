@@ -13,13 +13,14 @@ type Noise interface {
 	Decay() float64
 	// Scale reports the current noise scale (sigma).
 	Scale() float64
-	// SetScale overrides the noise scale, keeping forked processes on one
-	// shared annealing schedule.
+	// SetScale overrides the noise scale: a checkpoint restores it, a
+	// learner-health heal backs it off, and a fork is synced to the
+	// process it was forked from.
 	SetScale(sigma float64)
 	// Fork returns an independent process with the same parameters and a
-	// fresh temporal state. Parallel training workers each fork the
-	// canonical process so temporally correlated noise (OU) is not shared
-	// across concurrent episodes.
+	// fresh temporal state. A training run explores with a fork of the
+	// agent's process, so temporally correlated noise (OU) is not shared
+	// with online requests drawing from the agent's own.
 	Fork() Noise
 }
 

@@ -73,44 +73,6 @@ func (m *PrioritizedMemory) Load(r io.Reader) error {
 	return nil
 }
 
-// Save writes the pool's transitions to w in the shared memoryState
-// format (per-shard oldest-first, shard by shard), so a sharded pool can
-// be reloaded into any Memory flavor and vice versa. Unlike the rest of
-// ShardedMemory's methods, Save must not run concurrently with writers:
-// it snapshots shards one at a time, and transitions added mid-snapshot
-// may be missed.
-func (m *ShardedMemory) Save(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(memoryState{Transitions: m.Transitions()})
-}
-
-// Load replaces the pool contents with transitions previously written by
-// Save (any pool flavor), redistributing them round-robin across fresh
-// shards; prioritized shards re-enter every transition at maximal
-// priority. Load must not run concurrently with any other use of the
-// pool.
-func (m *ShardedMemory) Load(r io.Reader) error {
-	var st memoryState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
-		return fmt.Errorf("rl: decode memory: %w", err)
-	}
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		if m.prioritized {
-			s.pri = NewPrioritizedMemory(m.perShardCap)
-		} else {
-			s.uni = NewUniformMemory(m.perShardCap)
-		}
-		s.publishStats()
-		s.mu.Unlock()
-	}
-	m.ctr.Store(0)
-	for _, t := range st.Transitions {
-		m.Add(t)
-	}
-	return nil
-}
-
 // ordered returns stored transitions oldest-first.
 func (m *PrioritizedMemory) ordered() []Transition {
 	out := make([]Transition, 0, m.size)

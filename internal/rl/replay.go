@@ -16,10 +16,9 @@ type Transition struct {
 	Done      bool
 }
 
-// Memory is the interface shared by the replay pools. UniformMemory and
-// PrioritizedMemory require external serialization; ShardedMemory (which
-// additionally implements ConcurrentMemory) is internally synchronized.
-// See the package documentation for the full concurrency contract.
+// Memory is the interface shared by the replay pools. Neither
+// implementation is safe for concurrent use: callers serialize every
+// method (core's Tuner does, under its agent lock).
 type Memory interface {
 	// Add stores a transition, evicting the oldest when full.
 	Add(t Transition)
@@ -81,9 +80,6 @@ func (m *UniformMemory) Sample(rng *rand.Rand, n int) ([]Transition, []int, []fl
 	}
 	return batch, indices, weights
 }
-
-// mass is the pool's total sampling mass: one unit per stored transition.
-func (m *UniformMemory) mass() float64 { return float64(len(m.buf)) }
 
 // UpdatePriorities implements Memory (no-op for uniform sampling).
 func (m *UniformMemory) UpdatePriorities([]int, []float64) {}
@@ -199,9 +195,6 @@ func (m *PrioritizedMemory) Sample(rng *rand.Rand, n int) ([]Transition, []int, 
 	}
 	return batch, indices, weights
 }
-
-// mass is the pool's total sampling mass: the sum-tree root.
-func (m *PrioritizedMemory) mass() float64 { return m.tree[1] }
 
 // UpdatePriorities implements Memory.
 func (m *PrioritizedMemory) UpdatePriorities(indices []int, tdErrors []float64) {

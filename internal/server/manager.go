@@ -103,8 +103,11 @@ type Config struct {
 	// counts as the same workload class and seeds the session's agent.
 	MatchRadius float64
 
-	// TrainWorkers is the parallelism of each session's offline training
-	// (default 1 — sessions are already concurrent with each other).
+	// TrainWorkers is a name the frozen benchmark harness reads; it
+	// selects nothing. A session trains one episode at a time (sessions
+	// are concurrent with each other), so 0 and 1 are accepted and
+	// NewManager rejects any other value rather than serve serially for an
+	// operator who asked for parallel training.
 	TrainWorkers int
 
 	// Seed derives every session's deterministic seed stream.
@@ -183,8 +186,8 @@ func (c *Config) fillDefaults() error {
 	if c.MatchRadius <= 0 {
 		c.MatchRadius = 0.1
 	}
-	if c.TrainWorkers <= 0 {
-		c.TrainWorkers = 1
+	if c.TrainWorkers > 1 {
+		return fmt.Errorf("server: Config.TrainWorkers = %d: sessions train one episode at a time; the field accepts only 0 or 1", c.TrainWorkers)
 	}
 	if c.Catalog == nil {
 		c.Catalog = knobs.MySQL(knobs.EngineCDB)
@@ -982,9 +985,7 @@ func (m *Manager) train(ctx context.Context, s *session, tn *core.Tuner, warm bo
 			db := cfg.MakeDB(s.inst, chunkBase+int64(ep))
 			return env.New(db, cfg.Catalog, s.w)
 		}
-		rep, err := tn.OfflineTrainOpts(mk, core.TrainOptions{
-			Episodes: n, Workers: cfg.TrainWorkers, Ctx: ctx,
-		})
+		rep, err := tn.OfflineTrainOpts(mk, core.TrainOptions{Episodes: n, Ctx: ctx})
 		episodes += rep.Episodes
 		if err != nil {
 			return episodes, fmt.Errorf("training episode %d: %w", episodes, err)

@@ -382,6 +382,11 @@ func TestManagerValidation(t *testing.T) {
 		t.Fatal("missing registry must error")
 	}
 	cfg := testConfig(t)
+	cfg.TrainWorkers = 2
+	if _, err := NewManager(cfg); err == nil || !strings.Contains(err.Error(), "TrainWorkers") {
+		t.Fatalf("TrainWorkers: 2 must be rejected by name (sessions train serially), got %v", err)
+	}
+	cfg.TrainWorkers = 1 // the value the benchmark harness sets
 	m, err := NewManager(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -25,8 +25,8 @@ var ErrTransient = errors.New("simdb: transient measurement failure")
 
 // ErrWorkerLost marks the training server behind an environment becoming
 // unreachable mid-episode — the machine died, not the database
-// configuration. The chaos layer injects it; the parallel trainer responds
-// by respawning the worker and re-queueing the episode.
+// configuration. The chaos layer injects it; the trainer responds by
+// running the interrupted episode again on a fresh environment.
 var ErrWorkerLost = errors.New("simdb: training server lost")
 
 // Nominal wall-clock costs of one tuning step, from §5.1.1. The simulator
