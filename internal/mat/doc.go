@@ -5,7 +5,8 @@
 // # Kernel contract
 //
 // The GEMM entry points (Mul, MulT, TMul, TMulAdd) are the training and
-// inference hot path. Two kernel paths sit under them and produce the
+// inference hot path. Three kernel levels sit under them — portable <
+// avx2 < avx512, each able to run everything below it — and produce the
 // same bits:
 //
 //   - The portable Go kernels, the only path off amd64 and on amd64 CPUs
@@ -13,31 +14,42 @@
 //     destination row, then four, then one) for Mul/TMul/TMulAdd, and for
 //     MulT a four-column inner-product sweep (dot4) with dotUnrolled for
 //     the last b.Rows%4 columns.
-//   - The AVX2 tile kernels (gemm_amd64.s), selected once at package init
-//     from CPUID (AVX2 present, YMM state enabled by the OS) and by
-//     nothing else — no environment variable, build tag or setting. A
-//     tile is 4 rows × 8 columns of the destination held in YMM
-//     registers for the whole k loop. SIMD lanes span output columns j,
-//     never k, so each destination element still receives its products
-//     one at a time in ascending k, each product rounded before it is
-//     added: VMULPD then VADDPD, deliberately not FMA.
+//   - The AVX2 tile kernels (gemm_amd64.s): a tile is 4 rows × 8 columns
+//     of the destination held in YMM registers for the whole k loop. SIMD
+//     lanes span output columns j, never k, so each destination element
+//     still receives its products one at a time in ascending k, each
+//     product rounded before it is added: VMULPD then VADDPD,
+//     deliberately not FMA.
+//   - The AVX-512 tile kernels: the same tile at 512 bits, 8 rows × 16
+//     columns in sixteen of the thirty-two ZMM registers, still VMULPD
+//     then VADDPD. They take every full 16-column block of a product;
+//     the columns after the last one go to the AVX2 tiles.
 //
-// That is the order the portable kernels already use. The axpy chain
-// adds ((dst + a₀b₀) + a₁b₁) + … left to right for every column it
-// processes in pairs, and dot4 accumulates a·b from +0 in ascending k;
+// Ascending k, product rounded before the add, is the order the portable
+// kernels already use. The axpy chain adds ((dst + a₀b₀) + a₁b₁) + …
+// left to right for every column it processes in pairs, and dot4 accumulates a·b from +0 in ascending k;
 // so Mul, TMul, TMulAdd and MulT are bit-for-bit identical across the
-// two paths — ±0, denormals, ±Inf and NaN included (which payload a
-// NaN carries when both addends are NaN is pinned by neither path). Two
+// three levels — ±0, denormals, ±Inf and NaN included (which payload a
+// NaN carries when both addends are NaN is pinned by no level). Two
 // kinds of column sum in a different order in the portable kernels and
 // therefore stay with them on every host: the odd last column of an
 // axpy pass (it totals its eight products before adding dst) and MulT's
 // b.Rows%4 dotUnrolled columns (four interleaved partial sums). The SIMD
-// path covers columns below n&^3 and hands the rest to the portable
-// code. MulT reaches the tile kernels through a transposed copy of eight
-// rows of b at a time, packed into a 16 KiB buffer on the caller's
-// stack; nothing is allocated. TestSIMDBitIdenticalToPortable holds the
-// two paths to this over every remainder class, unaligned operands and
-// special values.
+// levels cover columns below n&^3 and hand the rest to the portable
+// code. MulT reaches the tile kernels through a transposed copy of one
+// tile width of rows of b at a time (8, or 16 at the avx512 level),
+// packed into a 16 KiB buffer on the caller's stack; nothing is
+// allocated. TestSIMDBitIdenticalToPortable holds every level the host
+// has to this over every remainder class, unaligned operands and special
+// values, and TestTrainStepSameBitsAtEveryLevel holds a whole DDPG
+// update — these kernels and nn's sweep together — to it end to end.
+//
+// The level is selected once at package init from CPUID and XCR0 (AVX2
+// present and YMM state enabled by the OS; for the top level AVX512F and
+// the opmask/ZMM state too) and by nothing else — no environment
+// variable, build tag or setting. HasAVX2 reports it to internal/nn,
+// whose optimizer sweep has an AVX2 kernel of its own, so there is one
+// CPUID probe in the module.
 //
 // FMA would roughly double SIMD throughput again, and is not used: a
 // fused multiply-add rounds once where these kernels round twice, so
@@ -46,20 +58,21 @@
 // decision, not a side effect of a kernel. For the same reason the
 // contract is stated for the default GOAMD64=v1, which `go test` and
 // benchmark/run.sh build with: under GOAMD64=v3 the Go compiler may
-// itself fuse the portable kernels' multiply-adds, and the two paths
-// then differ in the last bit.
+// itself fuse the portable kernels' multiply-adds, and the levels then
+// differ in the last bit.
 //
 // A goroutine-parallel row-partitioned variant engages automatically
 // when a product exceeds gemmMinParallelFlops of work (a figure that
-// follows the kernel path, since the SIMD tiles do four times the flops
-// in the time a processor takes to wake) and GOMAXPROCS permits. The split assigns every destination row to exactly one worker
+// follows the kernel level, since the wider the tiles the more flops fit
+// in the time a processor takes to wake) and GOMAXPROCS permits. The
+// split assigns every destination row to exactly one worker
 // running the identical serial kernel, so parallel results are
 // bit-for-bit identical to serial ones at any worker count. Against a
 // textbook triple loop the kernels differ at most in the columns named
 // above, by floating-point summation order (≈1e-12 relative at these
 // operand scales; covered by the serial-equivalence tests).
 //
-// The kernels preserve full IEEE semantics on both paths: every product
+// The kernels preserve full IEEE semantics at every level: every product
 // a[i][k]·b[k][j] is evaluated, with no sparsity short-circuits, so NaN
 // and Inf values propagate through matmuls even when the opposite
 // coefficient is zero. The DDPG learner's NaN-batch skip and the

@@ -21,13 +21,14 @@ import (
 //     per pass over the destination row (four, then one, for the
 //     remainder), cutting the load/store traffic on dst eightfold
 //     relative to one-axpy-per-k.
-//   - Two paths, one result: on amd64 with AVX2 (useAVX2, decided from
-//     CPUID at init) the columns below n&^3 of every product go through
-//     the register-tiled SIMD kernels of gemm_amd64.s, whose lanes span
-//     output columns so that each element still adds its k terms in the
-//     portable kernels' order; the last n%4 columns, and every column on
-//     any other host, go through the portable kernels. The two paths
-//     agree bit for bit.
+//   - Three levels, one result: on amd64 the columns below n&^3 of every
+//     product go through the register-tiled SIMD kernels of gemm_amd64.s
+//     — AVX-512 tiles 16 columns wide where the host has them, AVX2 tiles
+//     8 wide under those and on AVX2-only hosts (simd, decided from CPUID
+//     at init) — whose lanes span output columns so that each element
+//     still adds its k terms in the portable kernels' order; the last n%4
+//     columns, and every column on any other host, go through the
+//     portable kernels. All three levels agree bit for bit.
 //   - Row partitioning: above gemmMinParallelFlops of work (and with
 //     GOMAXPROCS > 1) the destination rows are split across goroutines.
 //     Each row is produced by exactly one worker running the identical
@@ -38,24 +39,46 @@ import (
 // a or b. Concurrent calls are safe as long as their dst regions are
 // disjoint.
 
+// simdLevel orders the kernel paths under the GEMM entry points: each
+// level can run every kernel of the levels below it.
+type simdLevel int
+
+const (
+	simdPortable simdLevel = iota // the Go kernels in this file
+	simdAVX2                      // 4×8 YMM tiles
+	simdAVX512                    // 8×16 ZMM tiles over the AVX2 ones
+)
+
+func (l simdLevel) String() string {
+	return [...]string{"portable", "avx2", "avx512"}[l]
+}
+
+// HasAVX2 reports whether the host runs AVX2 kernels (the level is avx2
+// or above). It is how internal/nn's optimizer sweep shares this
+// package's one CPUID probe instead of making a second.
+func HasAVX2() bool { return simd >= simdAVX2 }
+
 // gemmMinParallelFlops is the approximate kernel cost (2·m·k·n floating
 // point operations) below which goroutine fan-out costs more than it
 // buys. Waking a parked processor for the spawned chunk costs a roughly
 // fixed ≈ 120 µs on the 2-vCPU box the benchmark runs on, whichever
-// kernels then run, so the figure follows the kernel path: the SIMD
-// tiles do four times the flops in that time. On them a train step —
-// whose second core is already busy with the overlapped target pass — is
-// fastest with every batch-64 product of the shipped networks (the
-// largest, 64×256×256, is 1<<23) left serial; on the portable kernels
-// the products from 64×128×128 up still gain. Measurements for both in
-// EXPERIMENTS.md ("Parallel threshold"). It is a variable so tests can
-// force the parallel path.
-var gemmMinParallelFlops = func() int {
-	if useAVX2 {
-		return 1 << 24
-	}
-	return 1 << 21
-}()
+// kernels then run, so the figure follows the kernel level — one value
+// each, measured in EXPERIMENTS.md ("Parallel threshold"):
+//
+//   - portable, 1<<21: the products from 64×128×128 up still gain.
+//   - avx2, 1<<24: the tiles do four times the flops in the wake-up
+//     time, and a train step — whose second core is already busy with
+//     the overlapped target pass — is fastest with every batch-64
+//     product of the shipped networks (the largest, 64×256×256, is
+//     1<<23) left serial.
+//   - avx512, 1<<25: the 16-column tiles are ≈ 1.5× faster again, so
+//     the same wake-up is that many more flops: a 128×256×256 product
+//     (1<<24) loses 8 % split, 256×256×256 (1<<25) gains 15 % and
+//     256×512×512 (1<<27) 1.7×; the batch-64 products stay serial a
+//     fortiori.
+//
+// It is a variable so tests can force the parallel path.
+var gemmMinParallelFlops = [...]int{simdPortable: 1 << 21, simdAVX2: 1 << 24, simdAVX512: 1 << 25}[simd]
 
 // gemmParallelWorthwhile reports whether a kernel of the given size
 // should fan out across goroutines. It is checked before the dispatch
@@ -111,9 +134,9 @@ func Mul(dst, a, b *Matrix) *Matrix {
 // (every column otherwise) through the portable kernels.
 func mulRows(dst, a, b *Matrix, i0, i1 int) {
 	j0 := 0
-	if useAVX2 && a.Cols > 0 {
+	if simd > simdPortable && a.Cols > 0 {
 		j0 = b.Cols &^ 3
-		gemmAVX2(dst.Data, b.Cols, a.Data, a.Cols, 1, b.Data, b.Cols, a.Cols, j0, i0, i1, false)
+		gemmSIMD(dst.Data, b.Cols, a.Data, a.Cols, 1, b.Data, b.Cols, a.Cols, j0, i0, i1, false)
 	}
 	if j0 < b.Cols {
 		mulRowsPortable(dst, a, b, i0, i1, j0)
@@ -228,34 +251,40 @@ func MulT(dst, a, b *Matrix) *Matrix {
 	return dst
 }
 
-// mulTPanelK is the k extent of the packed bᵀ panel mulTRows keeps on
-// its stack: 8 columns × 256 k × 8 bytes = 16 KiB, resident in L1 while
-// every row tile sweeps it.
-const mulTPanelK = 256
+// mulTPanel is the size, in elements, of the packed bᵀ panel mulTRows
+// keeps on its stack: 16 KiB, resident in L1 while every row tile sweeps
+// it — 8 columns × 256 k under the AVX2 tiles, 16 columns × 128 k under
+// the AVX-512 ones.
+const mulTPanel = 2048
 
 // mulTRows computes rows [i0, i1) of dst = a × bᵀ. dot4 walks k
 // contiguously along rows of b, so SIMD lanes cannot span output columns
-// in place: the SIMD path packs eight rows of b at a time, transposed,
-// into a stack panel and runs the column-lane tiles over that. dot4's
-// sum is the same ascending-k sum from +0 the tiles compute (a k range
-// longer than the panel continues from dst, which stores exactly), so
-// those columns are bit-identical; the b.Rows%4 columns dotUnrolled
-// produces, with its four partial sums, stay with dotUnrolled.
+// in place: the SIMD path packs one tile width of rows of b at a time,
+// transposed, into a stack panel and runs the column-lane tiles over
+// that. dot4's sum is the same ascending-k sum from +0 the tiles compute
+// (a k range longer than the panel continues from dst, which stores
+// exactly), so those columns are bit-identical; the b.Rows%4 columns
+// dotUnrolled produces, with its four partial sums, stay with dotUnrolled.
 func mulTRows(dst, a, b *Matrix, i0, i1 int) {
 	j0 := 0
-	if useAVX2 && a.Cols > 0 {
+	if simd > simdPortable && a.Cols > 0 {
 		j0 = b.Rows &^ 3
-		var panel [mulTPanelK * 8]float64
-		for j := 0; j < j0; j += 8 {
-			w := min(8, j0-j)
-			for k0 := 0; k0 < a.Cols; k0 += mulTPanelK {
-				kc := min(mulTPanelK, a.Cols-k0)
+		cols := 8
+		if simd >= simdAVX512 {
+			cols = 16
+		}
+		panelK := mulTPanel / cols
+		var panel [mulTPanel]float64
+		for j := 0; j < j0; j += cols {
+			w := min(cols, j0-j)
+			for k0 := 0; k0 < a.Cols; k0 += panelK {
+				kc := min(panelK, a.Cols-k0)
 				for c := 0; c < w; c++ {
 					for k, v := range b.Row(j + c)[k0 : k0+kc] {
 						panel[k*w+c] = v
 					}
 				}
-				gemmAVX2(dst.Data[j:], b.Rows, a.Data[k0:], a.Cols, 1, panel[:], w, kc, w, i0, i1, k0 > 0)
+				gemmSIMD(dst.Data[j:], b.Rows, a.Data[k0:], a.Cols, 1, panel[:], w, kc, w, i0, i1, k0 > 0)
 			}
 		}
 	}
@@ -363,9 +392,9 @@ func checkTMulShapes(op string, dst, a, b *Matrix) {
 // accumulate (TMulAdd) semantics. The column split is mulRows'.
 func tMulRows(dst, a, b *Matrix, i0, i1 int, zero bool) {
 	j0 := 0
-	if useAVX2 && a.Rows > 0 {
+	if simd > simdPortable && a.Rows > 0 {
 		j0 = b.Cols &^ 3
-		gemmAVX2(dst.Data, b.Cols, a.Data, 1, a.Cols, b.Data, b.Cols, a.Rows, j0, i0, i1, !zero)
+		gemmSIMD(dst.Data, b.Cols, a.Data, 1, a.Cols, b.Data, b.Cols, a.Rows, j0, i0, i1, !zero)
 	}
 	if j0 < b.Cols {
 		tMulRowsPortable(dst, a, b, i0, i1, j0, zero)

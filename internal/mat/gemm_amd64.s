@@ -1,12 +1,12 @@
 #include "textflag.h"
 
-// AVX2 tile kernels for gemmAVX2 (gemm_amd64.go). Each computes one
-// R-row × C-column tile of
+// Tile kernels for gemmSIMD (gemm_amd64.go): 8 and 4 columns wide in
+// AVX2, 16 wide in AVX-512. Each computes one R-row × C-column tile of
 //
 //	dst[r·ldd + c] (+)= Σ_{k<K} a[r·ai + k·ak] · b[k·ldb + c]
 //
 // with the SIMD lanes spanning the C output columns and the whole k loop
-// inside the kernel, the tile's accumulators held in YMM registers. Every
+// inside the kernel, the tile's accumulators held in vector registers. Every
 // destination element therefore adds its K products one at a time in
 // ascending k, each product rounded (VMULPD) before it is added (VADDPD)
 // — deliberately no FMA — which is exactly the order and rounding of the
@@ -53,6 +53,129 @@
 	ADDQ R9, SI; \
 	DECQ CX; \
 	JNZ  label
+
+// ROW16 is ROW8 at 512 bits: b[k][0:16] in Z16, Z17, sixteen columns of
+// one row accumulated in two ZMM registers. Still multiply, round, add.
+#define ROW16(amem, lo, hi) \
+	VBROADCASTSD amem, Z18; \
+	VMULPD Z16, Z18, Z19; \
+	VMULPD Z17, Z18, Z20; \
+	VADDPD Z19, lo, lo; \
+	VADDPD Z20, hi, hi
+
+// func gemm8x16(dst *float64, ldd int, a *float64, ai, ak int, b *float64, ldb, k int, acc bool)
+//
+// Sixteen accumulators, Z0–Z15: rows 0–3 are addressed from SI and DI as
+// in gemm4x8, rows 4–7 from AX = a + 4·ai and R13 = dst + 4·ldd.
+TEXT ·gemm8x16(SB), NOSPLIT, $0-65
+	LOADARGS
+	LEAQ (SI)(R8*4), AX
+	LEAQ (DI)(DX*4), R13
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	VPXORQ Z12, Z12, Z12
+	VPXORQ Z13, Z13, Z13
+	VPXORQ Z14, Z14, Z14
+	VPXORQ Z15, Z15, Z15
+	CMPB acc+64(FP), $0
+	JEQ  loop816
+	VMOVUPD (DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD (DI)(DX*1), Z2
+	VMOVUPD 64(DI)(DX*1), Z3
+	VMOVUPD (DI)(DX*2), Z4
+	VMOVUPD 64(DI)(DX*2), Z5
+	VMOVUPD (DI)(R12*1), Z6
+	VMOVUPD 64(DI)(R12*1), Z7
+	VMOVUPD (R13), Z8
+	VMOVUPD 64(R13), Z9
+	VMOVUPD (R13)(DX*1), Z10
+	VMOVUPD 64(R13)(DX*1), Z11
+	VMOVUPD (R13)(DX*2), Z12
+	VMOVUPD 64(R13)(DX*2), Z13
+	VMOVUPD (R13)(R12*1), Z14
+	VMOVUPD 64(R13)(R12*1), Z15
+loop816:
+	VMOVUPD (BX), Z16
+	VMOVUPD 64(BX), Z17
+	ROW16((SI), Z0, Z1)
+	ROW16((SI)(R8*1), Z2, Z3)
+	ROW16((SI)(R8*2), Z4, Z5)
+	ROW16((SI)(R11*1), Z6, Z7)
+	ROW16((AX), Z8, Z9)
+	ROW16((AX)(R8*1), Z10, Z11)
+	ROW16((AX)(R8*2), Z12, Z13)
+	ROW16((AX)(R11*1), Z14, Z15)
+	ADDQ R9, AX
+	NEXTK(loop816)
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, (DI)(DX*1)
+	VMOVUPD Z3, 64(DI)(DX*1)
+	VMOVUPD Z4, (DI)(DX*2)
+	VMOVUPD Z5, 64(DI)(DX*2)
+	VMOVUPD Z6, (DI)(R12*1)
+	VMOVUPD Z7, 64(DI)(R12*1)
+	VMOVUPD Z8, (R13)
+	VMOVUPD Z9, 64(R13)
+	VMOVUPD Z10, (R13)(DX*1)
+	VMOVUPD Z11, 64(R13)(DX*1)
+	VMOVUPD Z12, (R13)(DX*2)
+	VMOVUPD Z13, 64(R13)(DX*2)
+	VMOVUPD Z14, (R13)(R12*1)
+	VMOVUPD Z15, 64(R13)(R12*1)
+	VZEROUPPER
+	RET
+
+// func gemm4x16(dst *float64, ldd int, a *float64, ai, ak int, b *float64, ldb, k int, acc bool)
+TEXT ·gemm4x16(SB), NOSPLIT, $0-65
+	LOADARGS
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	CMPB acc+64(FP), $0
+	JEQ  loop416
+	VMOVUPD (DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD (DI)(DX*1), Z2
+	VMOVUPD 64(DI)(DX*1), Z3
+	VMOVUPD (DI)(DX*2), Z4
+	VMOVUPD 64(DI)(DX*2), Z5
+	VMOVUPD (DI)(R12*1), Z6
+	VMOVUPD 64(DI)(R12*1), Z7
+loop416:
+	VMOVUPD (BX), Z16
+	VMOVUPD 64(BX), Z17
+	ROW16((SI), Z0, Z1)
+	ROW16((SI)(R8*1), Z2, Z3)
+	ROW16((SI)(R8*2), Z4, Z5)
+	ROW16((SI)(R11*1), Z6, Z7)
+	NEXTK(loop416)
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, (DI)(DX*1)
+	VMOVUPD Z3, 64(DI)(DX*1)
+	VMOVUPD Z4, (DI)(DX*2)
+	VMOVUPD Z5, 64(DI)(DX*2)
+	VMOVUPD Z6, (DI)(R12*1)
+	VMOVUPD Z7, 64(DI)(R12*1)
+	VZEROUPPER
+	RET
 
 // func gemm4x8(dst *float64, ldd int, a *float64, ai, ak int, b *float64, ldb, k int, acc bool)
 TEXT ·gemm4x8(SB), NOSPLIT, $0-65

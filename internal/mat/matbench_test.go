@@ -51,7 +51,7 @@ func BenchmarkTMul(b *testing.B) {
 }
 
 // BenchmarkGEMMPaths times the three products at the critic-trunk shape
-// (batch 64, 256→256) on each kernel path the host has, serially, and
+// (batch 64, 256→256) at each kernel level the host has, serially, and
 // reports GFLOP/s. cmd/benchjson runs it for the "kernels" block of
 // BENCH_hotpath.json: only this package can select the path.
 func BenchmarkGEMMPaths(b *testing.B) {
@@ -72,16 +72,13 @@ func BenchmarkGEMMPaths(b *testing.B) {
 		{"mult", func() { MulT(dst, a, wt) }},
 		{"tmul", func() { TMul(tdst, ta, tb) }},
 	}
-	paths := []string{"portable"}
-	if useAVX2 {
-		paths = []string{"avx2", "portable"}
-	}
-	defer func(simd bool, flops int) { useAVX2, gemmMinParallelFlops = simd, flops }(useAVX2, gemmMinParallelFlops)
+	defer func(level simdLevel, flops int) { simd, gemmMinParallelFlops = level, flops }(simd, gemmMinParallelFlops)
+	host := simd
 	gemmMinParallelFlops = 1 << 62
 	for _, op := range ops {
-		for _, path := range paths {
-			b.Run(op.name+"/"+path, func(b *testing.B) {
-				useAVX2 = path == "avx2"
+		for level := host; level >= simdPortable; level-- {
+			b.Run(op.name+"/"+level.String(), func(b *testing.B) {
+				simd = level
 				for i := 0; i < b.N; i++ {
 					op.run()
 				}

@@ -26,10 +26,11 @@ func allocTestNet(rng *rand.Rand) *Network {
 }
 
 // TestTrainStepAllocsZero pins the pooling contract for the whole stack:
-// after warm-up, Forward(train) + Backward + Adam.Step allocates nothing.
+// after warm-up, Forward(train) + Backward + the clipped Adam.Sweep into a
+// target network allocates nothing.
 func TestTrainStepAllocsZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	net := allocTestNet(rng)
+	net, target := allocTestNet(rng), allocTestNet(rng)
 	opt := NewAdam(net, 1e-3)
 	opt.WeightDecay = 1e-4
 
@@ -43,7 +44,8 @@ func TestTrainStepAllocsZero(t *testing.T) {
 	allocs := testing.AllocsPerRun(30, func() {
 		net.Forward(x, true)
 		net.Backward(grad)
-		opt.Step()
+		_, scale := net.ClipScale(0.001)
+		opt.Sweep(scale, target, 0.01)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state train step allocates %v times, want 0", allocs)

@@ -7,7 +7,7 @@
 // # Buffer ownership
 //
 // Layers pool their output, gradient and inference buffers via mat.Reuse,
-// so a steady-state train step (Forward + Backward + optimizer Step)
+// so a steady-state train step (Forward + Backward + optimizer sweep)
 // allocates nothing. The matrix returned by a layer's Forward, Backward or
 // Infer is owned by that layer and valid only until its next call of the
 // same kind — callers that need the values past that point must Clone.
@@ -29,6 +29,26 @@
 // concurrently (the DDPG learner overlaps target-network and online-
 // network passes this way). Within one pass the mat kernels may fan out
 // across goroutines internally; that is invisible to callers.
+//
+// # The optimizer sweep
+//
+// Adam.Sweep is everything a training step does to a network after its
+// backward pass, in one pass over the parameters: apply the clip factor
+// Network.ClipScale computed, the Adam update, the clearing of the
+// gradient, the Polyak blend into a target network, and the max |weight|
+// health signal (NaN as soon as any weight is). Ownership: Sweep writes
+// the optimizer's own network — weights, gradients, moments — and the
+// weights of the target network it is handed, which therefore must not be
+// in use by another goroutine (the DDPG learner's overlapped target pass
+// has joined by then). It is unconditional: whether an update may be
+// applied — a finite loss, a finite gradient norm — is decided before
+// calling it, from ClipScale's norm, which writes nothing. Adam.Step is
+// the sweep with no clipping and no target. sweepScalar is the one
+// written form of the update rule; on amd64 hosts with AVX2 (mat.HasAVX2
+// — CPU detection stays in internal/mat) whole 4-element blocks go
+// through the kernel in sweep_amd64.s, which performs the same operations
+// in the same order with the same roundings, so the weights are the same
+// bits on every host.
 //
 // # Serialization
 //

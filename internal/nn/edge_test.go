@@ -91,13 +91,21 @@ func TestLoadWrongParamShape(t *testing.T) {
 
 func TestSoftUpdateMismatchedPanics(t *testing.T) {
 	a := NewNetwork(NewDense(2, 2))
-	b := NewNetwork(NewDense(2, 2), NewDense(2, 2))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	a.SoftUpdateFrom(b, 0.5)
+	for name, b := range map[string]*Network{
+		"layer count": NewNetwork(NewDense(2, 2), NewDense(2, 2)),
+		// Same tensor count, shorter tensors: the sweep's kernel writes
+		// the target unchecked, so this must be caught before it runs.
+		"tensor size": NewNetwork(NewDense(1, 2)),
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s mismatch: expected panic", name)
+				}
+			}()
+			NewAdam(a, 1e-3).Sweep(1, b, 0.5)
+		}()
+	}
 }
 
 func TestClipGradientsDisabled(t *testing.T) {
@@ -105,9 +113,8 @@ func TestClipGradientsDisabled(t *testing.T) {
 	for _, p := range n.Params() {
 		p.Grad.Fill(100)
 	}
-	n.ClipGradients(0) // disabled
-	if n.Params()[0].Grad.Data[0] != 100 {
-		t.Fatal("maxNorm<=0 must not clip")
+	if norm, scale := n.ClipScale(0); scale != 1 || norm <= 100 { // disabled
+		t.Fatalf("maxNorm<=0 must not clip: norm %v, scale %v", norm, scale)
 	}
 }
 

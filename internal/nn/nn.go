@@ -38,7 +38,7 @@ type Layer interface {
 
 // Network is a sequential stack of layers. Layers must not be modified
 // after the first call to Params (directly or via an optimizer,
-// CopyTo, SoftUpdateFrom, ...): the parameter list is cached.
+// CopyTo, ...): the parameter list is cached.
 type Network struct {
 	Layers []Layer
 
@@ -194,45 +194,31 @@ func (n *Network) CopyTo(dst *Network) {
 	}
 }
 
-// SoftUpdateFrom blends src parameters into n: θ ← τ·θ_src + (1−τ)·θ.
-// This is the Polyak averaging DDPG uses for its target networks.
-func (n *Network) SoftUpdateFrom(src *Network, tau float64) {
-	sp, dp := src.Params(), n.Params()
-	if len(sp) != len(dp) {
-		panic(fmt.Sprintf("nn: SoftUpdateFrom param count mismatch %d vs %d", len(sp), len(dp)))
-	}
-	for i := range sp {
-		d, s := dp[i].Value.Data, sp[i].Value.Data
-		for j := range d {
-			d[j] = tau*s[j] + (1-tau)*d[j]
-		}
-	}
-}
-
-// ClipGradients scales all gradients so the global L2 norm does not exceed
-// maxNorm, returning the pre-clip norm. maxNorm <= 0 disables clipping.
-func (n *Network) ClipGradients(maxNorm float64) float64 {
+// ClipScale returns the global L2 norm of the accumulated gradients and
+// the factor that brings it down to maxNorm — 1 when the norm is already
+// within it, or when maxNorm <= 0 disables clipping. It writes nothing:
+// the factor is applied by Adam.Sweep as it reads each gradient, and the
+// caller sees the norm (the sum of squares in parameter order, a serial
+// chain) before any weight is touched, so a non-finite norm can still
+// discard the whole update.
+func (n *Network) ClipScale(maxNorm float64) (norm, scale float64) {
 	var total float64
 	for _, p := range n.Params() {
 		for _, g := range p.Grad.Data {
 			total += g * g
 		}
 	}
-	norm := math.Sqrt(total)
+	norm = math.Sqrt(total)
 	if maxNorm > 0 && norm > maxNorm {
-		scale := maxNorm / norm
-		for _, p := range n.Params() {
-			p.Grad.Scale(scale)
-		}
+		return norm, maxNorm / norm
 	}
-	return norm
+	return norm, 1
 }
 
-// MaxAbsWeight returns the largest parameter magnitude in the network — a
-// cheap health signal: a diverging optimizer shows up as a runaway max
-// weight long before every output is NaN. A NaN parameter anywhere makes
-// the result NaN (returned immediately), so non-finite weights cannot hide
-// behind a finite maximum.
+// MaxAbsWeight returns the largest parameter magnitude in the network,
+// NaN if any parameter is NaN (returned immediately): the figure
+// Adam.Sweep returns as a by-product, by a scan, for a network the current
+// step did not sweep.
 func (n *Network) MaxAbsWeight() float64 {
 	var max float64
 	for _, p := range n.Params() {

@@ -1,9 +1,10 @@
 package nn
 
 import (
+	"fmt"
 	"math"
-	"runtime"
-	"sync"
+
+	"cdbtune/internal/mat"
 )
 
 // Optimizer updates network parameters from their accumulated gradients.
@@ -74,7 +75,6 @@ type Adam struct {
 
 	params []*Param
 	m, v   [][]float64
-	size   int // total parameter count
 	t      int
 }
 
@@ -84,13 +84,11 @@ func NewAdam(net *Network, lr float64) *Adam {
 	ps := net.Params()
 	m := make([][]float64, len(ps))
 	v := make([][]float64, len(ps))
-	size := 0
 	for i, p := range ps {
 		m[i] = make([]float64, len(p.Value.Data))
 		v[i] = make([]float64, len(p.Value.Data))
-		size += len(p.Value.Data)
 	}
-	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, params: ps, m: m, v: v, size: size}
+	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, params: ps, m: m, v: v}
 }
 
 // Reset clears the accumulated first/second moments and the step counter.
@@ -107,57 +105,118 @@ func (o *Adam) Reset() {
 	}
 }
 
-// adamMinParallel is the parameter count below which Step stays on the
-// calling goroutine: a spawn and a join cost more than the update of a
-// few thousand weights (≈ 8 ns each), and the serial path allocates
-// nothing, which the package's AllocsPerRun assertions depend on.
-const adamMinParallel = 1 << 16
+// Step implements Optimizer: Sweep with the gradients as they are and no
+// target network.
+func (o *Adam) Step() { o.Sweep(1, nil, 0) }
 
-// Step implements Optimizer. The update is elementwise, so above
-// adamMinParallel parameters every tensor is cut into GOMAXPROCS
-// contiguous shares updated concurrently — the same arithmetic on the
-// same elements, hence the same bits at any worker count.
-func (o *Adam) Step() {
+// Sweep is everything a training step does to a network after its
+// backward pass, in one pass over the parameters: scale the gradient
+// (gradScale is Network.ClipScale's factor; 1 leaves it as accumulated),
+// apply the Adam update, clear the gradient, blend the new weight into
+// target by θ′ ← τ·θ + (1−τ)·θ′ (the Polyak averaging DDPG uses for its
+// target networks; target == nil skips it) and return the largest
+// parameter magnitude after the update — a cheap health signal: a
+// diverging optimizer shows up as a runaway max weight long before every
+// output is NaN, and the result is NaN as soon as any weight is, so a
+// non-finite weight cannot hide behind a finite maximum. It writes the
+// weights, moments and gradients of the optimizer's network and the
+// weights of target, which must have the same architecture; decide
+// whether the update may be applied at all (a finite loss, a finite
+// gradient norm) before calling it.
+func (o *Adam) Sweep(gradScale float64, target *Network, tau float64) float64 {
+	var tp []*Param
+	if target != nil {
+		if tp = target.Params(); len(tp) != len(o.params) {
+			panic(fmt.Sprintf("nn: Sweep target param count mismatch %d vs %d", len(tp), len(o.params)))
+		}
+	}
 	o.t++
-	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
-	bc2 := 1 - math.Pow(o.Beta2, float64(o.t))
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 2 || o.size < adamMinParallel {
-		o.stepShare(bc1, bc2, 0, 1)
-		return
+	c := sweepConsts{
+		scale: gradScale,
+		beta1: o.Beta1, omBeta1: 1 - o.Beta1,
+		beta2: o.Beta2, omBeta2: 1 - o.Beta2,
+		bc1: 1 - math.Pow(o.Beta1, float64(o.t)),
+		bc2: 1 - math.Pow(o.Beta2, float64(o.t)),
+		lr:  o.LR, eps: o.Eps,
+		tau: tau, omTau: 1 - tau,
 	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			o.stepShare(bc1, bc2, w, workers)
-		}(w)
+	var maxBits uint64
+	for i, p := range o.params {
+		c.wd = o.WeightDecay
+		if decayExempt(p) {
+			c.wd = 0
+		}
+		var t []float64
+		if tp != nil {
+			if t = tp[i].Value.Data; len(t) != len(p.Value.Data) {
+				panic(fmt.Sprintf("nn: Sweep target tensor %d has %d values, want %d", i, len(t), len(p.Value.Data)))
+			}
+		}
+		maxBits = sweep(p.Value.Data, p.Grad.Data, o.m[i], o.v[i], t, &c, maxBits)
 	}
-	o.stepShare(bc1, bc2, 0, workers)
-	wg.Wait()
+	return math.Float64frombits(maxBits)
 }
 
-// stepShare applies the update to share w of workers of every tensor and
-// clears that share of the gradient.
-func (o *Adam) stepShare(bc1, bc2 float64, w, workers int) {
-	for i, p := range o.params {
-		wd := o.WeightDecay
-		if decayExempt(p) {
-			wd = 0
+// sweepConsts are one Sweep's per-step constants. The AVX2 kernel
+// (sweep_amd64.s) reads them by offset: twelve float64s in this order.
+type sweepConsts struct {
+	scale, wd      float64
+	beta1, omBeta1 float64 // β₁, 1−β₁
+	beta2, omBeta2 float64
+	bc1, bc2       float64 // bias corrections 1−β₁ᵗ, 1−β₂ᵗ
+	lr, eps        float64
+	tau, omTau     float64
+}
+
+// sweep runs one tensor through the update: whole 4-element blocks
+// through the AVX2 kernel where the host has it, the rest (everything,
+// elsewhere) through sweepScalar. Both give the same bits. t is nil
+// without a target, else as long as w. maxBits carries the running max
+// |w| as its IEEE bit pattern — see sweepScalar.
+func sweep(w, g, m, v, t []float64, c *sweepConsts, maxBits uint64) uint64 {
+	g, m, v = g[:len(w)], m[:len(w)], v[:len(w)] // the kernel does no bounds checks
+	n4 := 0
+	if mat.HasAVX2() {
+		n4 = len(w) &^ 3
+	}
+	if n4 > 0 {
+		var tp *float64
+		if t != nil {
+			tp = &t[0]
+			t = t[n4:]
 		}
-		n := len(p.Value.Data)
-		lo, hi := n*w/workers, n*(w+1)/workers
-		val, grad := p.Value.Data[lo:hi], p.Grad.Data[lo:hi]
-		mi, vi := o.m[i][lo:hi], o.v[i][lo:hi]
-		for j := range val {
-			g := grad[j] + wd*val[j]
-			mi[j] = o.Beta1*mi[j] + (1-o.Beta1)*g
-			vi[j] = o.Beta2*vi[j] + (1-o.Beta2)*g*g
-			mhat := mi[j] / bc1
-			vhat := vi[j] / bc2
-			val[j] -= o.LR * mhat / (math.Sqrt(vhat) + o.Eps)
-			grad[j] = 0
+		k := sweepAVX2(&w[0], &g[0], &m[0], &v[0], tp, n4/4, c)
+		if b := math.Float64bits(k); b > maxBits {
+			maxBits = b
 		}
 	}
+	return sweepScalar(w[n4:], g[n4:], m[n4:], v[n4:], t, c, maxBits)
+}
+
+// sweepScalar is the one place the update rule is written; the AVX2
+// kernel is this loop four elements at a time, operation for operation:
+// every product is rounded before it is added (no FMA — the conversion
+// pins that where a compiler would fuse), `/` and math.Sqrt are correctly
+// rounded as VDIVPD and VSQRTPD are, and lr·m̂ is formed before the
+// division. The max is kept as a bit pattern because for non-negative
+// floats the patterns order as the values do and every NaN's pattern is
+// above +Inf's: one integer compare gives "the maximum, or NaN as soon as
+// any weight is NaN" with nothing to special-case.
+func sweepScalar(w, g, m, v, t []float64, c *sweepConsts, maxBits uint64) uint64 {
+	for j := range w {
+		gj := float64(g[j]*c.scale) + float64(c.wd*w[j])
+		m[j] = float64(c.beta1*m[j]) + float64(c.omBeta1*gj)
+		v[j] = float64(c.beta2*v[j]) + float64(float64(c.omBeta2*gj)*gj)
+		mhat := m[j] / c.bc1
+		vhat := v[j] / c.bc2
+		w[j] -= float64(c.lr*mhat) / (math.Sqrt(vhat) + c.eps)
+		g[j] = 0
+		if t != nil {
+			t[j] = float64(c.tau*w[j]) + float64(c.omTau*t[j])
+		}
+		if b := math.Float64bits(math.Abs(w[j])); b > maxBits {
+			maxBits = b
+		}
+	}
+	return maxBits
 }

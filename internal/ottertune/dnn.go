@@ -45,8 +45,8 @@ func fitDNN(x *mat.Matrix, y []float64, rng *rand.Rand) *dnnScorer {
 		out := net.Forward(x.Clone(), true)
 		_, grad := nn.MSELoss(out, target)
 		net.Backward(grad)
-		net.ClipGradients(5)
-		opt.Step()
+		_, scale := net.ClipScale(5)
+		opt.Sweep(scale, nil, 0)
 	}
 	return s
 }

@@ -18,7 +18,7 @@ type parallelDense struct {
 	stateHead           *nn.Dense
 	actionHead          *nn.Dense
 
-	s, a, cat   *mat.Matrix // Forward scratch
+	cat         *mat.Matrix // forward scratch
 	gs, ga, din *mat.Matrix // Backward scratch
 }
 
@@ -32,19 +32,13 @@ func newParallelDense(stateDim, actionDim, width int) *parallelDense {
 	}
 }
 
-// Forward implements nn.Layer. The input batch columns are the state
-// vector followed by the action vector.
-func (p *parallelDense) Forward(x *mat.Matrix, train bool) *mat.Matrix {
-	n := x.Rows
-	p.s = mat.Reuse(p.s, n, p.stateDim)
-	p.a = mat.Reuse(p.a, n, p.actionDim)
-	for i := 0; i < n; i++ {
-		row := x.Row(i)
-		copy(p.s.Row(i), row[:p.stateDim])
-		copy(p.a.Row(i), row[p.stateDim:])
-	}
-	fs := p.stateHead.Forward(p.s, train)
-	fa := p.actionHead.Forward(p.a, train)
+// forward feeds each head its own batch and concatenates the outputs. The
+// heads keep states and actions as their backward inputs, so the caller
+// must leave both unmodified until the matching backward pass is done.
+func (p *parallelDense) forward(states, actions *mat.Matrix, train bool) *mat.Matrix {
+	fs := p.stateHead.Forward(states, train)
+	fa := p.actionHead.Forward(actions, train)
+	n := states.Rows
 	p.cat = mat.Reuse(p.cat, n, fs.Cols+fa.Cols)
 	for i := 0; i < n; i++ {
 		row := p.cat.Row(i)
@@ -52,6 +46,14 @@ func (p *parallelDense) Forward(x *mat.Matrix, train bool) *mat.Matrix {
 		copy(row[fs.Cols:], fa.Row(i))
 	}
 	return p.cat
+}
+
+// Forward implements nn.Layer in name only: the stage sits in the critic's
+// network for its parameters and backward passes, while its two inputs
+// arrive separately through forward — concatenating them for this
+// signature only to split them again would cost two batch copies a pass.
+func (p *parallelDense) Forward(x *mat.Matrix, train bool) *mat.Matrix {
+	panic("ddpg: the critic's first stage takes (states, actions) through critic.forward")
 }
 
 // Backward implements nn.Layer, returning the gradient with respect to the
@@ -110,16 +112,13 @@ func (p *parallelDense) Params() []*nn.Param {
 // critic wraps the critic network, presenting a (state, action) interface
 // over a network whose input is the concatenated pair.
 type critic struct {
-	network             *nn.Network
-	stateDim, actionDim int
+	network *nn.Network
 
 	// heads is network.Layers[0] and trunk a second view of the layers
 	// after it: the actor update back-propagates through the trunk and
 	// then asks the heads for the action gradient alone.
 	heads *parallelDense
 	trunk *nn.Network
-
-	x *mat.Matrix // forward concat scratch
 }
 
 // newCritic assembles the Table 5 critic: parallel heads, leaky ReLU,
@@ -138,11 +137,9 @@ func newCritic(cfg Config, rng *rand.Rand) *critic {
 	}
 	layers = append(layers, nn.NewDense(in, 1))
 	return &critic{
-		network:   nn.NewNetwork(layers...),
-		stateDim:  cfg.StateDim,
-		actionDim: cfg.ActionDim,
-		heads:     heads,
-		trunk:     nn.NewNetwork(layers[1:]...),
+		network: nn.NewNetwork(layers...),
+		heads:   heads,
+		trunk:   nn.NewNetwork(layers[1:]...),
 	}
 }
 
@@ -152,14 +149,7 @@ func (c *critic) net() *nn.Network { return c.network }
 // is a network-owned buffer: it is overwritten by this critic's next
 // forward, so callers must finish reading it (or copy) before then.
 func (c *critic) forward(states, actions *mat.Matrix, train bool) *mat.Matrix {
-	n := states.Rows
-	c.x = mat.Reuse(c.x, n, c.stateDim+c.actionDim)
-	for i := 0; i < n; i++ {
-		row := c.x.Row(i)
-		copy(row[:c.stateDim], states.Row(i))
-		copy(row[c.stateDim:], actions.Row(i))
-	}
-	return c.network.Forward(c.x, train)
+	return c.trunk.Forward(c.heads.forward(states, actions, train), train)
 }
 
 // actionGrad propagates grad back through the critic and returns the
@@ -173,6 +163,3 @@ func (c *critic) actionGrad(grad *mat.Matrix) *mat.Matrix {
 
 func (c *critic) initUniform(rng *rand.Rand, a float64) { c.network.InitUniform(rng, a) }
 func (c *critic) copyTo(dst *critic)                    { c.network.CopyTo(dst.network) }
-func (c *critic) softUpdateFrom(src *critic, tau float64) {
-	c.network.SoftUpdateFrom(src.network, tau)
-}

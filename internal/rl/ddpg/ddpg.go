@@ -57,7 +57,7 @@ type Config struct {
 	WeightDecay float64
 
 	// MaxGradNorm clips both the actor's and the critic's global L2
-	// gradient norm per update (see nn.Network.ClipGradients); the pre-clip
+	// gradient norm per update (see nn.Network.ClipScale); the pre-clip
 	// norms are reported in StepInfo for learner-health supervision.
 	// Values ≤ 0 disable clipping but the norms are still measured.
 	MaxGradNorm float64
@@ -438,15 +438,16 @@ func (a *Agent) TrainStepInfo() (StepInfo, bool) {
 		return StepInfo{CriticLoss: loss, SkippedNonFinite: true}, true
 	}
 	a.critic.net().BackwardParams(grad)
-	criticNorm := a.critic.net().ClipGradients(a.cfg.MaxGradNorm)
+	criticNorm, scale := a.critic.net().ClipScale(a.cfg.MaxGradNorm)
 	if !finite(criticNorm) {
 		a.skippedBatches++
 		a.critic.net().ZeroGrad()
 		return StepInfo{CriticLoss: loss, SkippedNonFinite: true}, true
 	}
-	a.criticOpt.Step()
+	// One pass over the critic: clip, Adam, soft target update
+	// θ' ← τθ + (1−τ)θ', and the max |weight| StepInfo reports.
+	maxWeight := a.criticOpt.Sweep(scale, a.critTarget.net(), a.cfg.Tau)
 	a.Memory.UpdatePriorities(indices, tdErrors)
-	a.critTarget.softUpdateFrom(a.critic, a.cfg.Tau)
 
 	a.trainSteps++
 	delay := a.cfg.PolicyDelay
@@ -454,11 +455,12 @@ func (a *Agent) TrainStepInfo() (StepInfo, bool) {
 		delay = 1
 	}
 	if a.trainSteps%delay != 0 {
+		// The actor was not swept this step, so its half of MaxWeight is a scan.
 		return StepInfo{
 			CriticLoss:     loss,
 			CriticGradNorm: criticNorm,
 			MeanAbsQ:       absQ,
-			MaxWeight:      a.maxAbsWeight(),
+			MaxWeight:      maxOrNaN(maxWeight, a.actor.MaxAbsWeight()),
 		}, true
 	}
 
@@ -503,7 +505,7 @@ func (a *Agent) TrainStepInfo() (StepInfo, bool) {
 		}
 	}
 	a.actor.BackwardParams(dAction)
-	actorNorm := a.actor.ClipGradients(a.cfg.MaxGradNorm)
+	actorNorm, scale := a.actor.ClipScale(a.cfg.MaxGradNorm)
 	if !finite(actorLoss) || !finite(actorNorm) {
 		// The critic half of the update was finite and has been applied;
 		// only the actor's half is poisoned (e.g. a critic weight crossed
@@ -517,10 +519,7 @@ func (a *Agent) TrainStepInfo() (StepInfo, bool) {
 			SkippedNonFinite: true,
 		}, true
 	}
-	a.actorOpt.Step()
-
-	// Soft target update: θ' ← τθ + (1−τ)θ'.
-	a.actorTarget.SoftUpdateFrom(a.actor, a.cfg.Tau)
+	maxWeight = maxOrNaN(maxWeight, a.actorOpt.Sweep(scale, a.actorTarget, a.cfg.Tau))
 	return StepInfo{
 		CriticLoss:      loss,
 		ActorLoss:       actorLoss,
@@ -528,7 +527,7 @@ func (a *Agent) TrainStepInfo() (StepInfo, bool) {
 		CriticGradNorm:  criticNorm,
 		ActorGradNorm:   actorNorm,
 		MeanAbsQ:        absQ,
-		MaxWeight:       a.maxAbsWeight(),
+		MaxWeight:       maxWeight,
 		ActorSaturation: saturated,
 	}, true
 }
@@ -536,18 +535,13 @@ func (a *Agent) TrainStepInfo() (StepInfo, bool) {
 // finite reports whether v is neither NaN nor infinite.
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-// maxAbsWeight is the largest parameter magnitude across the online actor
-// and critic (targets trail them, so scanning the online pair suffices);
-// NaN as soon as any weight is NaN.
-func (a *Agent) maxAbsWeight() float64 {
-	w := a.actor.MaxAbsWeight()
-	if math.IsNaN(w) {
-		return w
+// maxOrNaN is the larger of two max-|weight| figures, NaN if either is:
+// StepInfo.MaxWeight must go NaN as soon as any online weight does.
+func maxOrNaN(a, b float64) float64 {
+	if math.IsNaN(a) || b <= a {
+		return a
 	}
-	if cw := a.critic.net().MaxAbsWeight(); math.IsNaN(cw) || cw > w {
-		w = cw
-	}
-	return w
+	return b // larger, or NaN
 }
 
 // SkippedBatches reports how many replayed batches were discarded because

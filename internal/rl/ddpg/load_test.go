@@ -68,7 +68,7 @@ func TestLoadRejectsNonFiniteWeights(t *testing.T) {
 	if !strings.Contains(err.Error(), "corrupt model") || !strings.Contains(err.Error(), "actor") {
 		t.Fatalf("non-finite weight error should name the network and corruption, got: %v", err)
 	}
-	if w := dst.maxAbsWeight(); math.IsNaN(w) {
+	if w := maxOrNaN(dst.actor.MaxAbsWeight(), dst.critic.net().MaxAbsWeight()); math.IsNaN(w) {
 		t.Fatal("failed Load leaked NaN into the destination agent")
 	}
 }

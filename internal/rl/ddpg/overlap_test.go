@@ -79,10 +79,10 @@ func TestTrainStepDeterministicAcrossGOMAXPROCS(t *testing.T) {
 // allocations with a second processor available, which the nn package's
 // zero-allocation tests never see (testing.AllocsPerRun pins GOMAXPROCS
 // to 1, hence the hand count here). Every fan-out costs a goroutine and
-// a closure: on the AVX2 kernels only the overlapped target pass and the
-// two optimizers fan out (16 allocations a step); on the portable
-// kernels the larger GEMMs still split their rows (≈ 130). One spawn per
-// chunk with the caller parked, as before, was 252.
+// a closure: on the SIMD kernels only the overlapped target pass fans
+// out (10 allocations a step); on the portable kernels the larger GEMMs
+// still split their rows (≈ 130). One spawn per chunk with the caller
+// parked, as before, was 252.
 func TestTrainStepAllocBoundTwoProcs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	a := newBenchmarkAgent(266)

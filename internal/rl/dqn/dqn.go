@@ -163,8 +163,8 @@ func (a *Agent) TrainStep() (loss float64, ok bool) {
 	a.net.ZeroGrad()
 	l, grad := nn.HuberLoss(q, target, 1)
 	a.net.Backward(grad)
-	a.net.ClipGradients(5)
-	a.opt.Step()
+	_, scale := a.net.ClipScale(5)
+	a.opt.Sweep(scale, nil, 0)
 
 	a.trainSteps++
 	if a.trainSteps%a.cfg.TargetSync == 0 {

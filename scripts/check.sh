@@ -71,15 +71,29 @@ if [ -n "$vfs_hits" ]; then
 fi
 
 echo "== go vet =="
-# vet's asmdecl pass checks internal/mat's assembly stubs (argument
-# offsets, frame sizes) against their Go declarations.
+# vet's asmdecl pass checks the assembly stubs of internal/mat (the GEMM
+# tiles) and internal/nn (the optimizer sweep) — argument offsets, frame
+# sizes — against their Go declarations.
 go vet ./...
 
 echo "== cross-build (arm64) =="
-# internal/mat has an amd64-only file set (the AVX2 kernels and their
-# dispatch); this proves the set every other architecture gets — the
-# portable kernels alone — still compiles. Needs no network.
+# internal/mat and internal/nn each have an amd64-only file set (the
+# AVX2/AVX-512 GEMM tiles and their dispatch; the AVX2 sweep kernel); this
+# proves the set every other architecture gets — the portable kernels and
+# the scalar sweep alone — still compiles, test files included (they
+# lower the SIMD level, so they name what gemm_other.go must declare).
+# Needs no network.
 GOARCH=arm64 go build ./...
+GOARCH=arm64 go vet ./internal/mat ./internal/nn
+
+echo "== SIMD levels exercised =="
+# The bit-identity tests skip a level the host lacks (and say so); print
+# what actually ran here, so a runner without AVX-512 cannot pass for one
+# with it. The tests themselves gate in the full run below.
+go test -count=1 -v -run 'TestSIMDBitIdenticalToPortable|TestTrainStepSameBitsAtEveryLevel' ./internal/mat \
+    | grep -E 'bit-identical|NOT covered|SIMD levels exercised'
+go test -count=1 -v -run 'TestSweepKernelMatchesScalar' ./internal/nn \
+    | grep -E 'bit-identical|NOT covered'
 
 echo "== go test (shuffled) =="
 go test -shuffle=on -timeout 120s ./...
