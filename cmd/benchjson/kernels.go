@@ -3,10 +3,8 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"os/exec"
 	"slices"
 	"strconv"
@@ -56,7 +54,7 @@ var simdLevels = []string{"avx512", "avx2", "portable"}
 func measureKernels(benchtime time.Duration, reps int) (Kernels, error) {
 	k := Kernels{Measured: time.Now().UTC().Format(time.RFC3339), GoMaxProcs: goMaxProcs()}
 
-	agent := newBenchAgent(266)
+	agent := newBenchAgent(266, 0)
 	res := bench(benchtime, 2*reps, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -165,26 +163,4 @@ func (k Kernels) check() error {
 		}
 	}
 	return nil
-}
-
-// mergeKernels measures the kernels block alone and rewrites it into the
-// report at path, leaving every other row as recorded: the rows above it
-// are anchored to the reference machine and are not this box's to touch.
-func mergeKernels(path string, benchtime time.Duration, reps int) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var r Report
-	if err := json.Unmarshal(raw, &r); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if r.Kernels, err = measureKernels(benchtime, reps); err != nil {
-		return err
-	}
-	enc, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(enc, '\n'), 0o644)
 }

@@ -12,6 +12,7 @@
 //	go run ./cmd/benchjson -quick -out /tmp/b.json   # CI smoke (short benchtime)
 //	go run ./cmd/benchjson -check BENCH_hotpath.json # validate an existing file
 //	go run ./cmd/benchjson -kernels BENCH_hotpath.json # re-measure only the "kernels" block in place
+//	go run ./cmd/benchjson -modelpath BENCH_hotpath.json # re-measure only the "model_path" block in place
 package main
 
 import (
@@ -86,6 +87,7 @@ func main() {
 	check := flag.String("check", "", "validate an existing BENCH_hotpath.json and exit")
 	quick := flag.Bool("quick", false, "short benchtime smoke mode (numbers are noisy)")
 	kernels := flag.String("kernels", "", "re-measure only the kernels block of this existing report, in place")
+	modelPath := flag.String("modelpath", "", "re-measure only the model_path block of this existing report, in place")
 	flag.Parse()
 
 	if *check != "" {
@@ -106,12 +108,27 @@ func main() {
 		reps = 1
 	}
 
-	if *kernels != "" {
-		if err := mergeKernels(*kernels, benchtime, reps); err != nil {
+	for _, b := range []struct {
+		name, path string
+		measure    func(*Report) error
+	}{
+		{"kernels", *kernels, func(r *Report) (err error) {
+			r.Kernels, err = measureKernels(benchtime, reps)
+			return err
+		}},
+		{"model_path", *modelPath, func(r *Report) (err error) {
+			r.ModelPath, err = measureModelPath(benchtime, reps)
+			return err
+		}},
+	} {
+		if b.path == "" {
+			continue
+		}
+		if err := mergeBlock(b.path, b.measure); err != nil {
 			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("benchjson: refreshed the kernels block of %s\n", *kernels)
+		fmt.Printf("benchjson: refreshed the %s block of %s\n", b.name, b.path)
 		return
 	}
 
@@ -132,6 +149,29 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("benchjson: wrote %s (train step %.1fµs, %.0f allocs)\n", *out, r.TrainStepUS, r.TrainStepAllocs)
+}
+
+// mergeBlock re-measures one block of the report at path and rewrites
+// the file, leaving every other row as recorded: the rows above the
+// blocks are anchored to the reference machine and are not this box's to
+// touch.
+func mergeBlock(path string, measure func(*Report) error) error {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	var r Report
+	if err := json.Unmarshal(raw, &r); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	if err := measure(&r); err != nil {
+		return err
+	}
+	enc, err := json.MarshalIndent(r, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(enc, '\n'), 0o644)
 }
 
 // bench runs fn under the testing harness across reps×4 short windows
@@ -198,7 +238,7 @@ func measure(benchtime time.Duration, reps, episodes int) Report {
 	// train_step_266_us. This is the headline metric, so it gets twice the
 	// reps: the min-of-N estimator needs more samples here than for the
 	// short GEMM kernels.
-	agent := newBenchAgent(20)
+	agent := newBenchAgent(20, 0)
 	res = bench(benchtime, 2*reps, func(b_ *testing.B) {
 		b_.ReportAllocs()
 		for i := 0; i < b_.N; i++ {
@@ -233,9 +273,13 @@ func measure(benchtime time.Duration, reps, episodes int) Report {
 
 // newBenchAgent builds the train-step workload: default architecture over
 // the given number of knobs, replay pool pre-filled past MinMemory with
-// seeded transitions.
-func newBenchAgent(knobs int) *ddpg.Agent {
+// seeded transitions. batch > 0 overrides the paper's batch size (and
+// MinMemory with it).
+func newBenchAgent(knobs, batch int) *ddpg.Agent {
 	cfg := ddpg.DefaultConfig(metrics.NumMetrics, knobs)
+	if batch > 0 {
+		cfg.BatchSize, cfg.MinMemory = batch, batch
+	}
 	agent := ddpg.New(cfg)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 512; i++ {

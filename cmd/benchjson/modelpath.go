@@ -23,10 +23,11 @@ type Row struct {
 // job does with the model besides training it, at the full-size
 // configuration (266 MySQL knobs, shipped Table 5 networks — about 515 k
 // float64 values, 4.1 MB): serialize, deserialize, in-memory best-policy
-// snapshot, registry write (temp file + fsync + rename + dir fsync on the
-// real filesystem) and CRC-verified registry read, plus the per-session
-// tuner construction. EXPERIMENTS.md ("Model-path ledger") records the
-// trajectory.
+// snapshot of freshly updated weights, registry write (temp file + fsync +
+// rename + dir fsync on the real filesystem) and CRC-verified registry
+// read, the per-session tuner construction, and the whole zero-update
+// warm session those make up. EXPERIMENTS.md ("Model-path ledger")
+// records the trajectory.
 type ModelPath struct {
 	// Measured and GoMaxProcs say when and how these rows were taken: they
 	// are refreshed on whatever box runs `make bench`, which need not be
@@ -39,7 +40,7 @@ type ModelPath struct {
 // modelPathRows names every row a valid report carries.
 var modelPathRows = []string{
 	"agent_save", "agent_load", "agent_snapshot",
-	"registry_put_4mb", "registry_nearest_4mb", "core_new",
+	"registry_put_4mb", "registry_nearest_4mb", "core_new", "warm_session",
 }
 
 func row(res testing.BenchmarkResult) Row {
@@ -79,10 +80,20 @@ func measureModelPath(benchtime time.Duration, reps int) (ModelPath, error) {
 			}
 		}
 	}))
+	// A snapshot of weights an update has just written: the copy a
+	// training run pays (one of unchanged weights shares and costs
+	// nothing). The update itself runs untimed, on a small batch so the
+	// row's wall time stays near its benchtime.
+	trained := newBenchAgent(cfg.DDPG.ActionDim, 8)
 	mp.Rows["agent_snapshot"] = row(bench(benchtime, reps, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if tuner.Agent().Snapshot() == nil {
+			b.StopTimer()
+			if _, ok := trained.TrainStepInfo(); !ok {
+				b.Fatal("train step refused: memory underfilled")
+			}
+			b.StartTimer()
+			if trained.Snapshot() == nil {
 				b.Fatal("nil snapshot")
 			}
 		}
@@ -91,6 +102,34 @@ func measureModelPath(benchtime time.Duration, reps int) (ModelPath, error) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := core.New(cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}))
+	// What a warm job that trains nothing does with the model: build the
+	// session tuner, load the entry, take the supervisor's and the best
+	// policy's snapshots, restore the best, and save for write-back.
+	mp.Rows["warm_session"] = row(bench(benchtime, reps, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tn, err := core.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := tn.Load(bytes.NewReader(model.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+			agent := tn.Agent()
+			agent.Snapshot()
+			best := agent.Snapshot()
+			if err := best.Finite(); err != nil {
+				b.Fatal(err)
+			}
+			if err := agent.SetWeights(best); err != nil {
+				b.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := tn.Save(&buf); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 
 	"cdbtune/internal/env"
@@ -44,8 +43,9 @@ type Config struct {
 	UpdatesPerStep  int
 
 	// ConvergeWindow and ConvergeEps implement the §C.1.1 convergence
-	// rule: converged when performance changes ≤ ConvergeEps for
-	// ConvergeWindow consecutive steps.
+	// rule over completed training episodes: converged once the best
+	// performance has not improved by more than ConvergeEps for
+	// ConvergeWindow consecutive episodes.
 	ConvergeWindow int
 	ConvergeEps    float64
 
@@ -339,12 +339,11 @@ func (t *Tuner) restoreBest() error {
 
 // epStats accumulates one episode's outcome and telemetry while it runs.
 type epStats struct {
-	crashes     int
-	steps       int
-	skipped     int // steps lost to transient/apply failures (no sample)
-	convergedAt int
-	lost        bool // episode abandoned: instance unrecoverable
-	best        metrics.External
+	crashes int
+	steps   int
+	skipped int  // steps lost to transient/apply failures (no sample)
+	lost    bool // episode abandoned: instance unrecoverable
+	best    metrics.External
 
 	rewardSum float64
 	rewardN   int
@@ -422,8 +421,6 @@ func (t *Tuner) runEpisode(ctx context.Context, e *env.Env, noise rl.Noise, beat
 	st.best = base.Ext
 	state := metrics.Normalize(base.State)
 
-	flat := 0
-	var prevT float64 = base.Ext.Throughput
 	for step := 0; step < t.cfg.StepsPerEpisode; step++ {
 		if err := ctx.Err(); err != nil {
 			return st, err
@@ -475,7 +472,6 @@ func (t *Tuner) runEpisode(ctx context.Context, e *env.Env, noise rl.Noise, beat
 				return st, fmt.Errorf("core: re-measuring after crash: %w", rerr)
 			}
 			state = metrics.Normalize(rec.State)
-			prevT = rec.Ext.Throughput
 			continue
 		}
 		r := rf.Compute(res.Ext.Throughput, res.Ext.Latency99)
@@ -496,15 +492,6 @@ func (t *Tuner) runEpisode(ctx context.Context, e *env.Env, noise rl.Noise, beat
 			st.best = res.Ext
 		}
 		t.noteBestAction(action, res.Ext.Throughput)
-		if prevT > 0 && math.Abs(res.Ext.Throughput-prevT)/prevT <= t.cfg.ConvergeEps {
-			flat++
-			if flat >= t.cfg.ConvergeWindow && st.convergedAt == 0 {
-				st.convergedAt = step + 1
-			}
-		} else {
-			flat = 0
-		}
-		prevT = res.Ext.Throughput
 	}
 	return st, nil
 }

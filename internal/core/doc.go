@@ -89,6 +89,20 @@
 // back model weights, a guardrail revert rolls back the database
 // config.
 //
+// # What a snapshot costs
+//
+// The supervisor's rollback snapshot and the best-policy snapshot are
+// ddpg.WeightSnapshots, taken under agentMu. A snapshot of weights that
+// nothing has written since the last snapshot or the last Load or restore
+// shares that state's tensors and costs a few small allocations; only
+// one taken after an update copies the 4.1 MB of a full-size model. So a
+// warm session that runs no gradient update — the serving common case —
+// copies no model at all: the loaded entry's tensors are the live
+// weights, both snapshots share them, and restoreBest of an unchanged
+// best policy changes nothing (ddpg package doc, "Copy-on-write learner
+// state"). restoreBest still refuses a non-finite snapshot; one decoded
+// by Load carries its verification and is not scanned again.
+//
 // # Buffer ownership under the pooled hot path
 //
 // The nn layers reuse their output matrices across passes (see the

@@ -127,43 +127,52 @@ type Snapshot struct {
 
 // Collector turns a window of periodic snapshots into the paper's state
 // vector: gauges are averaged over the window and counters are
-// differenced between the last and first snapshot (§2.2.2).
+// differenced between the last and first snapshot (§2.2.2). It keeps only
+// what that needs — the first and last samples and a running sum per
+// gauge, added in sample order from zero — not the window itself.
 type Collector struct {
-	samples []Snapshot
+	n           int
+	first, last Snapshot
+	sums        [NumMetrics]float64 // gauges only
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector { return &Collector{} }
 
-// Add appends one periodic sample.
-func (c *Collector) Add(s Snapshot) { c.samples = append(c.samples, s) }
+// Add folds in one periodic sample.
+func (c *Collector) Add(s Snapshot) {
+	if c.n == 0 {
+		c.first = s
+	}
+	c.last = s
+	c.n++
+	for i, d := range Defs {
+		if d.Kind == Gauge {
+			c.sums[i] += s.Values[i]
+		}
+	}
+}
 
 // Reset clears the window.
-func (c *Collector) Reset() { c.samples = c.samples[:0] }
+func (c *Collector) Reset() { *c = Collector{} }
 
 // Count reports the number of samples in the window.
-func (c *Collector) Count() int { return len(c.samples) }
+func (c *Collector) Count() int { return c.n }
 
 // State reduces the window to the 63-dimensional raw state vector. It
 // panics if no samples were collected.
 func (c *Collector) State() []float64 {
-	if len(c.samples) == 0 {
+	if c.n == 0 {
 		panic("metrics: State with empty collector")
 	}
 	out := make([]float64, NumMetrics)
-	n := float64(len(c.samples))
-	first := c.samples[0]
-	last := c.samples[len(c.samples)-1]
+	n := float64(c.n)
 	for i, d := range Defs {
 		switch d.Kind {
 		case Gauge:
-			var sum float64
-			for _, s := range c.samples {
-				sum += s.Values[i]
-			}
-			out[i] = sum / n
+			out[i] = c.sums[i] / n
 		case Counter:
-			delta := last.Values[i] - first.Values[i]
+			delta := c.last.Values[i] - c.first.Values[i]
 			if delta < 0 {
 				delta = 0 // counter reset (e.g. after restart)
 			}

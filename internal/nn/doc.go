@@ -50,6 +50,27 @@
 // in the same order with the same roundings, so the weights are the same
 // bits on every host.
 //
+// # Storage on first need
+//
+// A network pays for learner scratch only once it learns. A Param's Grad
+// is nil until its first backward pass or ZeroGrad. Network.ZeroGrad
+// allocates every buffer of the network at once. A network that is never
+// backpropagated, such as a DDPG target network, never gets any; ClipScale
+// reads a missing buffer as zero. Adam allocates its moments at its first
+// Sweep, and Reset before then is a no-op.
+//
+// Values can come on first need too. A Param whose Value has a shape but
+// nil Data is unallocated: InitNormal, InitUniform and CopyTo's
+// destination allocate it, and Adopt points it at a state's tensors.
+// Nothing else may touch it first. Adopt makes a NetworkState the
+// network's live parameters and BatchNorm statistics without copying.
+// The network then treats them as read-only until Own, the copy-on-write
+// half, gives it private copies. CopyTo and the Init methods call Own
+// themselves; whoever else writes an adopted network (an optimizer sweep,
+// a training-mode Forward) must call it first.
+// internal/rl/ddpg builds its agents this way, so a model loaded from the
+// registry is served from the decoded tensors themselves.
+//
 // # Serialization
 //
 // A saved network is a flat list of float64 tensors in a length-prefixed
@@ -61,8 +82,9 @@
 // declared count and length by the bytes remaining before it allocates;
 // shape and finiteness are the caller's next two gates (TakeState +
 // CheckState, NetworkState.Finite) and nothing is applied until both
-// pass. NetworkState is the same data as plain slice copies, for
-// in-memory snapshots. DESIGN.md §11 has the byte layout.
+// pass. NetworkState is the same data as plain slices, for in-memory
+// snapshots: State copies a network out, Adopt takes one in. DESIGN.md
+// §11 has the byte layout.
 //
 // # Weight decay
 //

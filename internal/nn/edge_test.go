@@ -110,6 +110,7 @@ func TestSoftUpdateMismatchedPanics(t *testing.T) {
 
 func TestClipGradientsDisabled(t *testing.T) {
 	n := NewNetwork(NewDense(2, 2))
+	n.ZeroGrad()
 	for _, p := range n.Params() {
 		p.Grad.Fill(100)
 	}

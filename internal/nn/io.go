@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"path/filepath"
+	"slices"
 
 	"cdbtune/internal/vfs"
 )
@@ -57,11 +58,11 @@ func WriteAtomicFS(fsys vfs.FS, path string, write func(io.Writer) error) error 
 	return fsys.SyncDir(dir)
 }
 
-// NetworkState is a deep copy of everything Save persists for a Network:
-// parameter tensors in layer order plus BatchNorm running statistics. It
-// doubles as the in-memory snapshot format the learner-health supervisor
-// rolls back to, so capturing and restoring it must stay cheap (no
-// encoding, just copies).
+// NetworkState is everything Save persists for a Network: parameter
+// tensors in layer order plus BatchNorm running statistics. It doubles as
+// the in-memory snapshot format the learner-health supervisor rolls back
+// to, so capturing and restoring it must stay cheap: State copies, and
+// Adopt restores without even that.
 type NetworkState struct {
 	Params       [][]float64
 	RunningMeans [][]float64
@@ -86,7 +87,7 @@ func (n *Network) State() *NetworkState {
 
 // CheckState verifies that st is shape-compatible with the network —
 // parameter count, per-parameter length, and BatchNorm statistics — without
-// modifying anything. SetState performs the same checks; callers that must
+// modifying anything. Adopt performs the same checks; callers that must
 // apply several states atomically check them all first.
 func (n *Network) CheckState(st *NetworkState) error {
 	ps := n.Params()
@@ -94,8 +95,8 @@ func (n *Network) CheckState(st *NetworkState) error {
 		return fmt.Errorf("nn: state has %d params, network has %d", len(st.Params), len(ps))
 	}
 	for i, p := range ps {
-		if len(st.Params[i]) != len(p.Value.Data) {
-			return fmt.Errorf("nn: param %d has %d values, want %d", i, len(st.Params[i]), len(p.Value.Data))
+		if want := p.Value.Rows * p.Value.Cols; len(st.Params[i]) != want {
+			return fmt.Errorf("nn: param %d has %d values, want %d", i, len(st.Params[i]), want)
 		}
 	}
 	var bi int
@@ -115,24 +116,47 @@ func (n *Network) CheckState(st *NetworkState) error {
 	return nil
 }
 
-// SetState restores a state captured from an identically-shaped network
-// (via State or TakeState), validating shapes before touching anything.
-func (n *Network) SetState(st *NetworkState) error {
+// Adopt makes the tensors of st — captured from an identically-shaped
+// network by State or TakeState — the network's live parameters and
+// BatchNorm statistics, without copying them, after validating shapes
+// before touching anything. The network then only reads st: Own must run
+// before an optimizer sweep or a training-mode Forward (its running
+// statistics) writes the values — CopyTo and the Init methods run it
+// themselves — and whoever else holds st must not write it either.
+func (n *Network) Adopt(st *NetworkState) error {
 	if err := n.CheckState(st); err != nil {
 		return err
 	}
 	for i, p := range n.Params() {
-		copy(p.Value.Data, st.Params[i])
+		p.Value.Data = st.Params[i]
 	}
 	var bi int
 	for _, l := range n.Layers {
 		if bn, ok := l.(*BatchNorm); ok {
-			copy(bn.RunningMean, st.RunningMeans[bi])
-			copy(bn.RunningVar, st.RunningVars[bi])
+			bn.RunningMean, bn.RunningVar = st.RunningMeans[bi], st.RunningVars[bi]
 			bi++
 		}
 	}
+	n.adopted = true
 	return nil
+}
+
+// Own gives a network that adopted a state private copies of its values,
+// leaving the state as it was; any other network it leaves alone. It is
+// the copy-on-write half of Adopt.
+func (n *Network) Own() {
+	if !n.adopted {
+		return
+	}
+	n.adopted = false
+	for _, p := range n.Params() {
+		p.Value.Data = slices.Clone(p.Value.Data)
+	}
+	for _, l := range n.Layers {
+		if bn, ok := l.(*BatchNorm); ok {
+			bn.RunningMean, bn.RunningVar = slices.Clone(bn.RunningMean), slices.Clone(bn.RunningVar)
+		}
+	}
 }
 
 // Finite returns a descriptive error if any parameter value or BatchNorm
@@ -328,7 +352,8 @@ func (n *Network) Save(w io.Writer) error {
 }
 
 // Load restores parameters previously written by Save into a network with
-// an identical architecture, validating shapes before touching anything.
+// an identical architecture, validating shapes before touching anything;
+// the decoded tensors become the network's values.
 func (n *Network) Load(r io.Reader) error {
 	ts, err := ReadTensors(r)
 	if err != nil {
@@ -341,5 +366,9 @@ func (n *Network) Load(r io.Reader) error {
 	if len(rest) != 0 {
 		return fmt.Errorf("nn: state has %d tensors too many for this network", len(rest))
 	}
-	return n.SetState(st)
+	if err := n.Adopt(st); err != nil {
+		return err
+	}
+	n.adopted = false // the decoded tensors belong to this call alone
+	return nil
 }

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
+
+	"cdbtune/internal/mat"
 )
 
 // TestTensorsRoundTripBitExact: the codec moves bits, not numbers — NaN
@@ -100,5 +103,52 @@ func TestReadTensorsBoundsDeclaredSizes(t *testing.T) {
 	}
 	if _, err := ReadTensors(strings.NewReader("CDB")); err == nil {
 		t.Error("a reader without Len must go through the same checks")
+	}
+}
+
+// TestAdoptIsCopyOnWrite: an adopted state becomes the network's values
+// without a copy, and no write path reaches it — Own copies it out first,
+// and CopyTo and InitUniform into an adopted network do so themselves.
+func TestAdoptIsCopyOnWrite(t *testing.T) {
+	src := NewNetwork(NewDense(3, 2), NewBatchNorm(2))
+	src.InitUniform(rand.New(rand.NewSource(1)), 0.5)
+	st := src.State()
+	want := st.Tensors()
+	for i := range want {
+		want[i] = append([]float64(nil), want[i]...)
+	}
+	unchanged := func(what string) {
+		t.Helper()
+		for i, ts := range st.Tensors() {
+			for j, v := range ts {
+				if v != want[i][j] {
+					t.Fatalf("%s wrote into the adopted state (tensor %d[%d])", what, i, j)
+				}
+			}
+		}
+	}
+
+	dst := NewNetwork(NewDense(3, 2), NewBatchNorm(2))
+	if err := dst.Adopt(st); err != nil {
+		t.Fatal(err)
+	}
+	if &dst.Params()[0].Value.Data[0] != &st.Params[0][0] {
+		t.Fatal("Adopt copied the state")
+	}
+	dst.Own()
+	dst.Params()[0].Value.Data[0] = 42
+	dst.Forward(mat.New(4, 3), true) // writes BatchNorm running statistics
+	unchanged("a write after Own")
+
+	for name, write := range map[string]func(n *Network){
+		"CopyTo":      func(n *Network) { NewNetwork(NewDense(3, 2), NewBatchNorm(2)).CopyTo(n) },
+		"InitUniform": func(n *Network) { n.InitUniform(rand.New(rand.NewSource(2)), 0.5) },
+	} {
+		n := NewNetwork(NewDense(3, 2), NewBatchNorm(2))
+		if err := n.Adopt(st); err != nil {
+			t.Fatal(err)
+		}
+		write(n)
+		unchanged(name)
 	}
 }

@@ -62,8 +62,8 @@ func (d *Dense) Backward(grad *mat.Matrix) *mat.Matrix {
 // accumulate directly into the Param tensors without intermediate
 // products, and dx = grad·Wᵀ is not computed.
 func (d *Dense) BackwardParams(grad *mat.Matrix) {
-	mat.TMulAdd(d.W.Grad, d.lastInput, grad)
-	grad.AddColSums(d.B.Grad.Data)
+	mat.TMulAdd(d.W.grad(), d.lastInput, grad)
+	grad.AddColSums(d.B.grad().Data)
 }
 
 // BackwardInput implements InputGradOnly: dx = grad·Wᵀ, skipping the
@@ -445,9 +445,10 @@ func (b *BatchNorm) backward(grad *mat.Matrix, accumulate bool) *mat.Matrix {
 		}
 	}
 	if accumulate {
+		dg, db := b.Gamma.grad().Data, b.Beta.grad().Data
 		for j := range b.dgamma {
-			b.Gamma.Grad.Data[j] += b.dgamma[j]
-			b.Beta.Grad.Data[j] += b.dbeta[j]
+			dg[j] += b.dgamma[j]
+			db[j] += b.dbeta[j]
 		}
 	}
 	for i := 0; i < grad.Rows; i++ {

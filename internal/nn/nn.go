@@ -9,20 +9,38 @@ import (
 )
 
 // Param is a learnable tensor together with its accumulated gradient.
+// Grad is nil until the parameter's first backward pass or ZeroGrad, and
+// Value's Data is nil while the parameter is unallocated (see the package
+// documentation, "Storage on first need").
 type Param struct {
 	Name  string
 	Value *mat.Matrix
 	Grad  *mat.Matrix
 }
 
-// newParam allocates a named parameter of the given shape with a zero
-// gradient buffer.
+// newParam allocates a named parameter of the given shape; its gradient
+// buffer comes with the first backward pass.
 func newParam(name string, rows, cols int) *Param {
-	return &Param{Name: name, Value: mat.New(rows, cols), Grad: mat.New(rows, cols)}
+	return &Param{Name: name, Value: mat.New(rows, cols)}
 }
 
-// ZeroGrad clears the accumulated gradient.
-func (p *Param) ZeroGrad() { p.Grad.Zero() }
+// ZeroGrad clears the accumulated gradient, allocating it on first use.
+func (p *Param) ZeroGrad() { p.grad().Zero() }
+
+// grad returns the gradient buffer, allocating a zero one on first use.
+func (p *Param) grad() *mat.Matrix {
+	if p.Grad == nil {
+		p.Grad = mat.New(p.Value.Rows, p.Value.Cols)
+	}
+	return p.Grad
+}
+
+// alloc gives an unallocated parameter zeroed storage.
+func (p *Param) alloc() {
+	if p.Value.Data == nil {
+		p.Value.Data = make([]float64, p.Value.Rows*p.Value.Cols)
+	}
+}
 
 // Layer is one differentiable stage of a network. Forward consumes a batch
 // (rows = samples) and returns the activated batch; Backward consumes the
@@ -42,7 +60,8 @@ type Layer interface {
 type Network struct {
 	Layers []Layer
 
-	params []*Param // cached by Params
+	params  []*Param // cached by Params
+	adopted bool     // values alias an adopted NetworkState (see Adopt)
 }
 
 // NewNetwork builds a sequential network from the given layers.
@@ -175,7 +194,8 @@ func (n *Network) Params() []*Param {
 	return n.params
 }
 
-// ZeroGrad clears all parameter gradients.
+// ZeroGrad clears all parameter gradients, allocating every buffer the
+// network does not have yet.
 func (n *Network) ZeroGrad() {
 	for _, p := range n.Params() {
 		p.ZeroGrad()
@@ -183,13 +203,17 @@ func (n *Network) ZeroGrad() {
 }
 
 // CopyTo copies every parameter value of n into dst, which must have an
-// identical architecture. Used to initialize DDPG target networks.
+// identical architecture; an unallocated destination parameter is
+// allocated first, and an adopted state is left untouched (Own). Used to
+// initialize DDPG target networks.
 func (n *Network) CopyTo(dst *Network) {
 	sp, dp := n.Params(), dst.Params()
 	if len(sp) != len(dp) {
 		panic(fmt.Sprintf("nn: CopyTo param count mismatch %d vs %d", len(sp), len(dp)))
 	}
+	dst.Own()
 	for i := range sp {
+		dp[i].alloc()
 		copy(dp[i].Value.Data, sp[i].Value.Data)
 	}
 }
@@ -204,6 +228,9 @@ func (n *Network) CopyTo(dst *Network) {
 func (n *Network) ClipScale(maxNorm float64) (norm, scale float64) {
 	var total float64
 	for _, p := range n.Params() {
+		if p.Grad == nil {
+			continue // never backpropagated: a zero gradient
+		}
 		for _, g := range p.Grad.Data {
 			total += g * g
 		}
@@ -239,33 +266,56 @@ func (n *Network) MaxAbsWeight() float64 {
 // matching the paper's ω ~ Uniform(−0.1, 0.1) initialization (Table 4).
 // Bias-style parameters (single row named "b" or "beta") are zeroed.
 func (n *Network) InitUniform(rng *rand.Rand, a float64) {
-	for _, p := range n.Params() {
-		switch p.Name {
-		case "b", "beta":
-			p.Value.Zero()
-		case "gamma":
-			p.Value.Fill(1)
-		default:
-			for i := range p.Value.Data {
-				p.Value.Data[i] = (rng.Float64()*2 - 1) * a
-			}
-		}
-	}
+	n.init(func() float64 { return (rng.Float64()*2 - 1) * a })
 }
 
 // InitNormal fills weights with Normal(0, std) draws, matching the paper's
 // θ^µ ~ Normal(0, 0.01) initialization (Table 4).
 func (n *Network) InitNormal(rng *rand.Rand, std float64) {
+	n.init(func() float64 { return rng.NormFloat64() * std })
+}
+
+// init allocates every unallocated parameter, leaves an adopted state
+// untouched (Own), zeroes biases and BatchNorm's β, sets γ to one and
+// fills every other value from draw, in Params order.
+func (n *Network) init(draw func() float64) {
+	n.Own()
 	for _, p := range n.Params() {
-		switch p.Name {
-		case "b", "beta":
-			p.Value.Zero()
-		case "gamma":
-			p.Value.Fill(1)
-		default:
-			for i := range p.Value.Data {
-				p.Value.Data[i] = rng.NormFloat64() * std
+		p.alloc()
+		if !drawnByInit(p) {
+			if p.Name == "gamma" {
+				p.Value.Fill(1)
+			} else {
+				p.Value.Zero()
 			}
+			continue
+		}
+		for i := range p.Value.Data {
+			p.Value.Data[i] = draw()
 		}
 	}
+}
+
+// drawnByInit reports whether InitNormal and InitUniform draw p's values:
+// every parameter but the biases and BatchNorm's affine pair.
+func drawnByInit(p *Param) bool {
+	switch p.Name {
+	case "b", "beta", "gamma":
+		return false
+	}
+	return true
+}
+
+// InitDraws is the number of random draws InitNormal or InitUniform takes
+// on n: one per value of every parameter drawnByInit admits. A caller that
+// receives its weights whole instead can take (and discard) exactly these
+// draws, leaving its rng where an initialized network would have left it.
+func (n *Network) InitDraws() int {
+	var k int
+	for _, p := range n.Params() {
+		if drawnByInit(p) {
+			k += p.Value.Rows * p.Value.Cols
+		}
+	}
+	return k
 }

@@ -285,6 +285,7 @@ func TestSoftUpdate(t *testing.T) {
 
 func TestClipGradients(t *testing.T) {
 	net := NewNetwork(NewDense(2, 2))
+	net.ZeroGrad()
 	for _, p := range net.Params() {
 		p.Grad.Fill(10)
 	}

@@ -54,9 +54,9 @@ func (o *SGD) Step() {
 		if decayExempt(p) {
 			wd = 0
 		}
-		v := o.velocity[i]
+		v, grad := o.velocity[i], p.grad().Data
 		for j := range p.Value.Data {
-			g := p.Grad.Data[j] + wd*p.Value.Data[j]
+			g := grad[j] + wd*p.Value.Data[j]
 			v[j] = o.Momentum*v[j] - o.LR*g
 			p.Value.Data[j] += v[j]
 		}
@@ -74,21 +74,15 @@ type Adam struct {
 	WeightDecay float64
 
 	params []*Param
-	m, v   [][]float64
+	m, v   [][]float64 // nil until the first Sweep
 	t      int
 }
 
 // NewAdam returns an Adam optimizer over the parameters of net with the
-// standard moment coefficients (0.9, 0.999).
+// standard moment coefficients (0.9, 0.999). The moments are allocated by
+// the first Sweep: a network that is never updated never pays for them.
 func NewAdam(net *Network, lr float64) *Adam {
-	ps := net.Params()
-	m := make([][]float64, len(ps))
-	v := make([][]float64, len(ps))
-	for i, p := range ps {
-		m[i] = make([]float64, len(p.Value.Data))
-		v[i] = make([]float64, len(p.Value.Data))
-	}
-	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, params: ps, m: m, v: v}
+	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, params: net.Params()}
 }
 
 // Reset clears the accumulated first/second moments and the step counter.
@@ -102,6 +96,16 @@ func (o *Adam) Reset() {
 			o.m[i][j] = 0
 			o.v[i][j] = 0
 		}
+	}
+}
+
+// allocMoments gives the optimizer its zeroed first and second moments.
+func (o *Adam) allocMoments() {
+	o.m = make([][]float64, len(o.params))
+	o.v = make([][]float64, len(o.params))
+	for i, p := range o.params {
+		o.m[i] = make([]float64, len(p.Value.Data))
+		o.v[i] = make([]float64, len(p.Value.Data))
 	}
 }
 
@@ -130,6 +134,9 @@ func (o *Adam) Sweep(gradScale float64, target *Network, tau float64) float64 {
 			panic(fmt.Sprintf("nn: Sweep target param count mismatch %d vs %d", len(tp), len(o.params)))
 		}
 	}
+	if o.m == nil {
+		o.allocMoments()
+	}
 	o.t++
 	c := sweepConsts{
 		scale: gradScale,
@@ -152,7 +159,7 @@ func (o *Adam) Sweep(gradScale float64, target *Network, tau float64) float64 {
 				panic(fmt.Sprintf("nn: Sweep target tensor %d has %d values, want %d", i, len(t), len(p.Value.Data)))
 			}
 		}
-		maxBits = sweep(p.Value.Data, p.Grad.Data, o.m[i], o.v[i], t, &c, maxBits)
+		maxBits = sweep(p.Value.Data, p.grad().Data, o.m[i], o.v[i], t, &c, maxBits)
 	}
 	return math.Float64frombits(maxBits)
 }

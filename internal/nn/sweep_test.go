@@ -120,6 +120,8 @@ func newSweepRig(seed int64, lengths []int) *sweepRig {
 	r := &sweepRig{net: build(), target: build()}
 	r.opt = NewAdam(r.net, 1e-3)
 	r.opt.WeightDecay = 1e-4
+	r.net.ZeroGrad() // allocates the gradients fillGrads writes
+	r.opt.allocMoments()
 	for i := range r.opt.m {
 		for j := range r.opt.m[i] {
 			r.opt.m[i][j] = 0.1 * rng.NormFloat64()

@@ -181,6 +181,7 @@ func FuzzAgentLoad(f *testing.F) {
 	f.Add(append(append([]byte(nil), good...), 0))
 
 	dst := New(src.Config())
+	pending := New(src.Config())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		before := dst.Snapshot()
 		var m0, m1 runtime.MemStats
@@ -200,6 +201,20 @@ func FuzzAgentLoad(f *testing.F) {
 			if serr := dst.Save(&again); serr != nil || !bytes.Equal(again.Bytes(), data) {
 				t.Fatalf("accepted model does not re-encode to its own bytes (save error: %v)", serr)
 			}
+		}
+		// The same bytes into an agent whose random init is still pending.
+		// A rejected model must leave it pending — no weight written, no
+		// init draw taken — because the server's scratch fallback trains
+		// that same agent.
+		if perr := pending.Load(bytes.NewReader(data)); (perr == nil) != (err == nil) {
+			t.Fatalf("Load into a pending agent: %v, into an initialized one: %v", perr, err)
+		}
+		if err != nil {
+			if !pending.pending || pending.actor.Params()[0].Value.Data != nil {
+				t.Fatalf("failed Load (%v) settled the pending init", err)
+			}
+		} else {
+			pending = New(src.Config())
 		}
 	})
 }

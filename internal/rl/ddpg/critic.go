@@ -27,8 +27,8 @@ func newParallelDense(stateDim, actionDim, width int) *parallelDense {
 	return &parallelDense{
 		stateDim:   stateDim,
 		actionDim:  actionDim,
-		stateHead:  nn.NewDense(stateDim, half),
-		actionHead: nn.NewDense(actionDim, width-half),
+		stateHead:  dense(stateDim, half),
+		actionHead: dense(actionDim, width-half),
 	}
 }
 
@@ -129,13 +129,13 @@ func newCritic(cfg Config, rng *rand.Rand) *critic {
 	layers := []nn.Layer{heads, nn.NewLeakyReLU(0.2)}
 	in := hidden[0]
 	for i, h := range hidden[1:] {
-		layers = append(layers, nn.NewDense(in, h), nn.NewTanh())
+		layers = append(layers, dense(in, h), nn.NewTanh())
 		if i == 0 {
 			layers = append(layers, nn.NewDropout(cfg.Dropout, rng))
 		}
 		in = h
 	}
-	layers = append(layers, nn.NewDense(in, 1))
+	layers = append(layers, dense(in, 1))
 	return &critic{
 		network: nn.NewNetwork(layers...),
 		heads:   heads,

@@ -121,6 +121,15 @@ type Agent struct {
 	cfg Config
 	rng *rand.Rand
 
+	// pending marks the Table 4 random init as not yet run: New builds the
+	// networks without weights, and ensureInit fills them at first use
+	// unless SetWeights (or Load) supplies them first.
+	pending bool
+	// clean is the snapshot whose network tensors the live weights equal,
+	// nil once anything may have written them since the last Snapshot or
+	// SetWeights: Snapshot shares its tensors instead of copying them.
+	clean *WeightSnapshot
+
 	actor       *nn.Network
 	actorTarget *nn.Network
 	critic      *critic
@@ -146,35 +155,23 @@ type Agent struct {
 	targetDone            chan struct{}
 }
 
-// New builds a DDPG agent from cfg.
+// New builds a DDPG agent from cfg: the architecture, with its random
+// init deferred to first use (see the package doc, "Copy-on-write learner
+// state").
 func New(cfg Config) *Agent {
 	if cfg.StateDim <= 0 || cfg.ActionDim <= 0 {
 		panic("ddpg: StateDim and ActionDim must be positive")
 	}
+	if cfg.ActionBias != nil && len(cfg.ActionBias) != cfg.ActionDim {
+		panic(fmt.Sprintf("ddpg: ActionBias length %d != ActionDim %d", len(cfg.ActionBias), cfg.ActionDim))
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	a := &Agent{cfg: cfg, rng: rng}
+	a := &Agent{cfg: cfg, rng: rng, pending: true}
 
 	a.actor = buildActor(cfg, rng)
 	a.actorTarget = buildActor(cfg, rng)
-	// Table 4: θ^µ initialized from Normal(0, 0.01), ω (critic weights)
-	// from Uniform(−0.1, 0.1).
-	a.actor.InitNormal(rng, 0.01)
-	if cfg.ActionBias != nil {
-		if len(cfg.ActionBias) != cfg.ActionDim {
-			panic(fmt.Sprintf("ddpg: ActionBias length %d != ActionDim %d", len(cfg.ActionBias), cfg.ActionDim))
-		}
-		// The output layer is the penultimate network layer (Sigmoid last).
-		out := a.actor.Layers[len(a.actor.Layers)-2].(*nn.Dense)
-		for j, x := range cfg.ActionBias {
-			out.B.Value.Data[j] = logit(x)
-		}
-	}
-	a.actor.CopyTo(a.actorTarget)
-
 	a.critic = newCritic(cfg, rng)
 	a.critTarget = newCritic(cfg, rng)
-	a.critic.initUniform(rng, 0.1)
-	a.critic.copyTo(a.critTarget)
 
 	a.actorOpt = nn.NewAdam(a.actor, cfg.ActorLR)
 	a.criticOpt = nn.NewAdam(a.critic.net(), cfg.CriticLR)
@@ -190,6 +187,67 @@ func New(cfg Config) *Agent {
 	return a
 }
 
+// ensureInit runs the deferred Table 4 init if it is still pending: θ^µ
+// from Normal(0, 0.01), ω (critic weights) from Uniform(−0.1, 0.1), and
+// the targets as copies. Every method that reads the weights or the rng
+// calls it first.
+func (a *Agent) ensureInit() {
+	if !a.pending {
+		return
+	}
+	a.pending = false
+	a.actor.InitNormal(a.rng, 0.01)
+	if a.cfg.ActionBias != nil {
+		// The output layer is the penultimate network layer (Sigmoid last).
+		out := a.actor.Layers[len(a.actor.Layers)-2].(*nn.Dense)
+		for j, x := range a.cfg.ActionBias {
+			out.B.Value.Data[j] = logit(x)
+		}
+	}
+	a.actor.CopyTo(a.actorTarget)
+	a.critic.initUniform(a.rng, 0.1)
+	a.critic.copyTo(a.critTarget)
+}
+
+// skipInit settles a pending init whose values are not needed because the
+// weights arrive whole: it takes, and discards, exactly the draws
+// ensureInit would have taken, so the rng ends where an initialized
+// agent's would. Each draw is made rather than counted: NormFloat64
+// consumes a data-dependent number of source values.
+func (a *Agent) skipInit() {
+	if !a.pending {
+		return
+	}
+	a.pending = false
+	for range a.actor.InitDraws() {
+		a.rng.NormFloat64()
+	}
+	for range a.critic.net().InitDraws() {
+		a.rng.Float64()
+	}
+}
+
+// own is the agent's one write point, run before an update touches any
+// weight or BatchNorm statistic: adopted tensors are copied out, and the
+// weights no longer equal the last snapshot.
+func (a *Agent) own() {
+	for _, n := range a.networks() {
+		n.Own()
+	}
+	a.clean = nil
+}
+
+// dense is nn.NewDense without storage: an agent's weights come from its
+// deferred init or from an adopted snapshot, so zeroed buffers allocated
+// here would only be thrown away.
+func dense(in, out int) *nn.Dense {
+	return &nn.Dense{
+		In: in, Out: out,
+		W: &nn.Param{Name: "W", Value: &mat.Matrix{Rows: in, Cols: out}},
+		B: &nn.Param{Name: "b", Value: &mat.Matrix{Rows: 1, Cols: out}},
+	}
+}
+
 // buildActor assembles the Table 5 actor: Dense→LeakyReLU(0.2)→BatchNorm
 // for the first stage, Dense→Tanh→Dropout for intermediate stages, a
 // BatchNorm'd penultimate stage, and a Sigmoid output squashing normalized
@@ -198,7 +256,7 @@ func buildActor(cfg Config, rng *rand.Rand) *nn.Network {
 	var layers []nn.Layer
 	in := cfg.StateDim
 	for i, h := range cfg.ActorHidden {
-		layers = append(layers, nn.NewDense(in, h))
+		layers = append(layers, dense(in, h))
 		switch i {
 		case 0:
 			layers = append(layers, nn.NewLeakyReLU(0.2), nn.NewBatchNorm(h))
@@ -209,7 +267,7 @@ func buildActor(cfg Config, rng *rand.Rand) *nn.Network {
 		}
 		in = h
 	}
-	layers = append(layers, nn.NewDense(in, cfg.ActionDim), nn.NewSigmoid())
+	layers = append(layers, dense(in, cfg.ActionDim), nn.NewSigmoid())
 	return nn.NewNetwork(layers...)
 }
 
@@ -224,6 +282,7 @@ func (a *Agent) TrainSteps() int { return a.trainSteps }
 // defensive copy and an interleaved gradient update's backward state is
 // never disturbed.
 func (a *Agent) Act(state []float64) []float64 {
+	a.ensureInit()
 	x := mat.FromSlice(1, a.cfg.StateDim, state)
 	out := a.actor.Infer(x)
 	return append([]float64(nil), out.Data...)
@@ -346,9 +405,15 @@ func (a *Agent) TrainStep() (criticLoss float64, ok bool) {
 
 // TrainStepInfo is TrainStep returning the full per-update losses.
 func (a *Agent) TrainStepInfo() (StepInfo, bool) {
+	a.ensureInit()
 	if a.Memory.Len() < a.cfg.MinMemory || a.Memory.Len() < a.cfg.BatchSize {
 		return StepInfo{}, false
 	}
+	// The one write point: everything below may write the weights (the
+	// optimizer sweeps) or BatchNorm statistics (the actor's train-mode
+	// forward), so adopted tensors are copied out here, before any pass
+	// runs — a batch then skipped as non-finite counts as a write too.
+	a.own()
 	n := a.cfg.BatchSize
 	batch, indices, weights := a.Memory.Sample(a.rng, n)
 
@@ -551,6 +616,7 @@ func (a *Agent) SkippedBatches() int { return a.skippedBatches }
 // QValue returns the critic's score for a single (state, action) pair,
 // used by diagnostics and tests.
 func (a *Agent) QValue(state, action []float64) float64 {
+	a.ensureInit()
 	s := mat.FromSlice(1, a.cfg.StateDim, append([]float64(nil), state...))
 	act := mat.FromSlice(1, a.cfg.ActionDim, append([]float64(nil), action...))
 	return a.critic.forward(s, act, false).Data[0]
@@ -561,6 +627,7 @@ func (a *Agent) QValue(state, action []float64) float64 {
 // recommendations) as one nn tensor list: the four networks in networks()
 // order, then the target when there is one.
 func (a *Agent) Save(w io.Writer) error {
+	a.ensureInit()
 	var ts [][]float64
 	for _, n := range a.networks() {
 		ts = append(ts, n.Tensors()...)
@@ -623,14 +690,16 @@ func (a *Agent) ReadSnapshot(r io.Reader) (*WeightSnapshot, error) {
 	if err := s.Finite(); err != nil {
 		return nil, fmt.Errorf("ddpg: load: corrupt model: %w", err)
 	}
+	s.netsFinite = true // set before anyone else can read s
 	return s, nil
 }
 
 // Load restores state previously written by Save into an agent built with
 // the same Config. Everything is decoded and validated (see ReadSnapshot)
 // before any weight is touched: a corrupt or mismatched model is rejected
-// with a descriptive error and the agent is left exactly as it was. The
-// optimizers' moments are not reset.
+// with a descriptive error and the agent is left exactly as it was — a
+// pending init included. The decoded tensors become the live weights
+// (SetWeights). The optimizers' moments are not reset.
 func (a *Agent) Load(r io.Reader) error {
 	s, err := a.ReadSnapshot(r)
 	if err != nil {

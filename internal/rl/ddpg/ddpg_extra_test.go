@@ -62,6 +62,7 @@ func TestPolicyDelaySkipsActorUpdates(t *testing.T) {
 	cfg := smallConfig(2, 2)
 	cfg.PolicyDelay = 4
 	a := New(cfg)
+	a.ensureInit() // the weights read below exist from first use on
 	for i := 0; i < 64; i++ {
 		a.Observe(rl.Transition{State: []float64{0, 0}, Action: []float64{0.5, 0.5}, Reward: 1, NextState: []float64{0, 0}, Done: true})
 	}

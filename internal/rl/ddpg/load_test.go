@@ -54,6 +54,7 @@ func TestLoadRejectsMismatchedDimensions(t *testing.T) {
 func TestLoadRejectsNonFiniteWeights(t *testing.T) {
 	src := New(loadTestConfig())
 	// Poison one actor weight, then save.
+	src.ensureInit()
 	src.actor.Layers[0].Params()[0].Value.Data[0] = math.NaN()
 	var buf bytes.Buffer
 	if err := src.Save(&buf); err != nil {

@@ -263,7 +263,7 @@ func (db *DB) RunWorkload(w workload.Workload, durationSec float64) (Result, err
 		n = 2
 	}
 	col := metrics.NewCollector()
-	var ext []metrics.External
+	ext := make([]metrics.External, 0, n)
 	for i := 0; i < n; i++ {
 		db.advance(&p, SamplePeriodSec)
 		col.Add(db.snapshot(&p))

@@ -148,12 +148,17 @@ echo "== hot-path bench smoke =="
 # A short-benchtime benchjson emission into a scratch file, validated by
 # its own -check mode, plus a -check of the tracked BENCH_hotpath.json:
 # proves the whole make-bench pipeline (measure -> JSON schema -> check)
-# still works without paying for a full measurement. The scratch numbers
-# are noisy by design and are discarded.
+# still works without paying for a full measurement. The in-place
+# model_path refresh runs on a scratch copy of the tracked file. The
+# scratch numbers are noisy by design and are discarded.
 hotpath_tmp="$(mktemp /tmp/bench_hotpath.XXXXXX.json)"
-trap 'rm -f "$hotpath_tmp"' EXIT
+modelpath_tmp="$(mktemp /tmp/bench_modelpath.XXXXXX.json)"
+trap 'rm -f "$hotpath_tmp" "$modelpath_tmp"' EXIT
 go run ./cmd/benchjson -quick -out "$hotpath_tmp"
 go run ./cmd/benchjson -check "$hotpath_tmp"
 if [ -f BENCH_hotpath.json ]; then
     go run ./cmd/benchjson -check BENCH_hotpath.json
+    cp BENCH_hotpath.json "$modelpath_tmp"
+    go run ./cmd/benchjson -quick -modelpath "$modelpath_tmp"
+    go run ./cmd/benchjson -check "$modelpath_tmp"
 fi
