@@ -1,11 +1,12 @@
 // Command cdbtune trains and serves the CDBTune tuning model against the
-// simulated cloud database fleet.
+// simulated cloud database fleet, and regenerates the paper's experiments.
 //
 //	cdbtune train -workload sysbench-rw -instance CDB-A -episodes 40 -model model.bin
 //	cdbtune tune  -workload tpcc -instance CDB-C -model model.bin [-steps 5]
 //	cdbtune tune  -workload sysbench-rw -model model.bin -timeline diurnal24 [-hours 24]
 //	cdbtune serve -addr 127.0.0.1:8080 -registry registry
 //	cdbtune submit -workload sysbench-rw -wait
+//	cdbtune exp [-budget quick|full] [-format text|csv|markdown] fig9 table3
 //	cdbtune info
 package main
 
@@ -51,6 +52,8 @@ func main() {
 		err = cmdStatus(os.Args[2:])
 	case "models":
 		err = cmdModels(os.Args[2:])
+	case "exp":
+		err = cmdExp(os.Args[2:])
 	default:
 		usage()
 		os.Exit(2)
@@ -77,6 +80,7 @@ func usage() {
                  [-timeline <name>|none] [-serve-hours 0]
   cdbtune status [-addr http://127.0.0.1:8080] [job-id]
   cdbtune models [-addr http://127.0.0.1:8080] [-promote id] [-delete id]
+  cdbtune exp    [-budget quick|full] [-format text|csv|markdown] <experiment>... | all
   cdbtune info`)
 }
 

@@ -127,7 +127,9 @@ func cmdSubmit(args []string) error {
 }
 
 // followEvents tails a job's NDJSON progress stream, printing each event
-// and the terminal summary.
+// and the terminal summary. A stream that ends without its final event
+// (the server shut down or drained mid-job) is an error: the job did not
+// finish.
 func followEvents(addr, id string) error {
 	resp, err := http.Get(strings.TrimRight(addr, "/") + "/api/v1/jobs/" + id + "/events")
 	if err != nil {
@@ -139,6 +141,7 @@ func followEvents(addr, id string) error {
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	last := "none"
 	for sc.Scan() {
 		var ev struct {
 			Stage   string           `json:"stage"`
@@ -157,8 +160,12 @@ func followEvents(addr, id string) error {
 			return nil
 		}
 		fmt.Printf("  [%-11s] %s\n", ev.Stage, ev.Message)
+		last = ev.Stage
 	}
-	return sc.Err()
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("job %s: progress stream: %w (last stage %s)", id, err, last)
+	}
+	return fmt.Errorf("job %s: progress stream closed before the job finished (last stage %s)", id, last)
 }
 
 func printJob(st server.JobStatus) {

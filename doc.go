@@ -5,9 +5,10 @@
 // against a simulated cloud-database fleet, with the OtterTune, BestConfig
 // and expert-DBA baselines the paper compares against.
 //
-// The public entry points live under cmd/ (the cdbtune and expdriver
-// binaries) and examples/; the library packages are under internal/ — see
-// README.md for the architecture overview and DESIGN.md for the paper-to-
-// package mapping. bench_test.go in this directory regenerates every table
-// and figure of the paper's evaluation.
+// The public entry point is the cdbtune command under cmd/: it trains,
+// tunes and serves, and `cdbtune exp <id>` regenerates every table and
+// figure of the paper's evaluation. The library packages are under
+// internal/, and the Example tests in internal/core and
+// internal/controller show their use — see README.md for the architecture
+// overview and DESIGN.md for the paper-to-package mapping.
 package cdbtune

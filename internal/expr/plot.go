@@ -8,8 +8,8 @@ import (
 
 // Plot renders the figure's series as an ASCII chart (width×height
 // characters of plot area, plus axes). Each series uses its own marker;
-// expdriver prints this under the numeric listing so trends are visible
-// in a terminal.
+// `cdbtune exp timeline` prints this under the numeric listing so trends
+// are visible in a terminal.
 func (f Figure) Plot(width, height int) string {
 	if width < 16 {
 		width = 16

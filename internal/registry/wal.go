@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -107,9 +108,10 @@ func (c *ChangeLog) Close() error {
 
 // Tail returns the records appended since the previous Tail (or since
 // Open). A torn final frame is not an error: it stays unread until the
-// writer finishes it. A corrupt frame body is an error — the records
-// before it are still returned, and the read position stops in front of
-// the damage so the problem stays visible.
+// writer finishes it. A corrupt frame, or tail bytes that cannot be the
+// start of one, is an error — the records before it are still returned,
+// and the read position stops in front of the damage so the problem
+// stays visible.
 func (c *ChangeLog) Tail() ([]Change, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -132,11 +134,12 @@ func (c *ChangeLog) tailLocked() ([]Change, error) {
 	pos := 0
 	for pos < len(buf) {
 		// Frame: magic(4) | payload len (uint32 LE) | payload | crc32(payload).
+		// A torn header still starts with (a prefix of) the magic.
+		if head := buf[pos:min(pos+4, len(buf))]; !bytes.Equal(head, walMagic[:len(head)]) {
+			return out, fmt.Errorf("registry: change log: bad frame magic at offset %d", c.off+int64(pos))
+		}
 		if len(buf)-pos < 8 {
 			break // torn header
-		}
-		if string(buf[pos:pos+4]) != string(walMagic[:]) {
-			return out, fmt.Errorf("registry: change log: bad frame magic at offset %d", c.off+int64(pos))
 		}
 		n := int(binary.LittleEndian.Uint32(buf[pos+4 : pos+8]))
 		if n <= 0 || n > 1<<20 {

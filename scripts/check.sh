@@ -122,6 +122,15 @@ echo "== crash smoke =="
 # test proving the harness catches a re-introduced torn-tail bug.
 go test -count=1 -timeout 120s -run 'TestCrashSmoke|TestHarnessCatchesTornTailBug' ./internal/crashtest/
 
+echo "== experiment front door =="
+# cdbtune exp over the four instant experiments (milliseconds of work) in
+# one renderer, and an unknown experiment ID must exit non-zero.
+go run ./cmd/cdbtune exp -budget quick -format csv table1 timing fig1c fig1d >/dev/null
+if go run ./cmd/cdbtune exp nosuchid 2>/dev/null; then
+    echo "cdbtune exp accepted an unknown experiment ID" >&2
+    exit 1
+fi
+
 echo "== fleet smoke =="
 # The multi-process robustness scenario: 3 serve processes, 50 tenants,
 # one SIGKILL and one lease stall mid-run; must end with zero lost jobs,
@@ -140,6 +149,9 @@ go test -run '^$' -fuzz '^FuzzParseConfig$' -fuzztime 2000x ./internal/knobs/
 # error) and the registry entry frame.
 go test -run '^$' -fuzz '^FuzzAgentLoad$' -fuzztime 2000x ./internal/rl/ddpg/
 go test -run '^$' -fuzz '^FuzzReadEntry$' -fuzztime 2000x ./internal/registry/
+# ...and on the change-log frame reader: exactly the intact prefix of
+# frames, an error only for damage that is not a torn tail.
+go test -run '^$' -fuzz '^FuzzChangeLogTail$' -fuzztime 2000x ./internal/registry/
 
 echo "== go test -race (short) =="
 go test -race -short -shuffle=on -timeout 20m ./...
