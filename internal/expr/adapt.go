@@ -1,14 +1,10 @@
 package expr
 
 import (
-	"context"
 	"fmt"
 
-	"cdbtune/internal/bestconfig"
-	"cdbtune/internal/core"
-	"cdbtune/internal/dba"
+	"cdbtune/internal/env"
 	"cdbtune/internal/knobs"
-	"cdbtune/internal/ottertune"
 	"cdbtune/internal/simdb"
 	"cdbtune/internal/workload"
 )
@@ -58,57 +54,26 @@ func adaptSweep(b Budget, title string, w workload.Workload, trainInst simdb.Ins
 	for xi, x := range xs {
 		inst := mkInst(x)
 		s := seed + int64(100+xi*31)
-		t := Table{
-			Title:  fmt.Sprintf("%s: %s→%s under %s", title, modelName, inst.Name, w.Name),
-			Header: []string{"tuner", "throughput (txn/sec)", "latency99 (ms)"},
-		}
-		// Baselines on the target instance.
-		e := newEnv(knobs.EngineCDB, inst, cat, w, s)
-		bcfg := bestconfig.DefaultConfig()
-		bcfg.Budget = b.BestConfigSteps
-		bcfg.Seed = s
-		bres, err := bestconfig.Tune(e, bcfg)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{"BestConfig", fmtF(bres.BestPerf.Throughput), fmtF(bres.BestPerf.Latency99)})
-
-		e = newEnv(knobs.EngineCDB, inst, cat, w, s+1)
-		_, dperf, err := dba.Tune(e)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{"DBA", fmtF(dperf.Throughput), fmtF(dperf.Latency99)})
-
-		e = newEnv(knobs.EngineCDB, inst, cat, w, s+2)
-		ocfg := ottertune.DefaultConfig()
-		ocfg.Steps = b.OtterTuneSteps
-		ocfg.Seed = s
-		ores, err := ottertune.Tune(e, repo, ocfg)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{"OtterTune", fmtF(ores.BestPerf.Throughput), fmtF(ores.BestPerf.Latency99)})
-
-		// Cross testing: the base model tunes the new hardware directly.
-		e = newEnv(knobs.EngineCDB, inst, cat, w, s+3)
-		cross, err := baseTuner.OnlineTune(context.TODO(), e, core.TuneOptions{Steps: b.OnlineSteps, FineTune: true})
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{"CDBTune (cross testing)", fmtF(cross.BestPerf.Throughput), fmtF(cross.BestPerf.Latency99)})
-
 		// Normal testing: a model trained on the target hardware.
 		normTuner, _, err := trainTuner(b, knobs.EngineCDB, inst, cat, []workload.Workload{w}, s+4)
 		if err != nil {
 			return nil, err
 		}
-		e = newEnv(knobs.EngineCDB, inst, cat, w, s+5)
-		norm, err := normTuner.OnlineTune(context.TODO(), e, core.TuneOptions{Steps: b.OnlineSteps, FineTune: true})
+		// The baselines run on the target instance; cross testing tunes
+		// the new hardware with the base model directly.
+		t, err := perfTable(Table{
+			Title:  fmt.Sprintf("%s: %s→%s under %s", title, modelName, inst.Name, w.Name),
+			Header: []string{"tuner", "throughput (txn/sec)", "latency99 (ms)"},
+		}, []tuner{
+			bestConfig(b, s), expertDBA(), otterTune(b, repo, s, false),
+			cdbTune("CDBTune (cross testing)", b, baseTuner),
+			cdbTune("CDBTune (normal testing)", b, normTuner),
+		}, []int64{s, s + 1, s + 2, s + 3, s + 5}, func(seed int64) *env.Env {
+			return newEnv(knobs.EngineCDB, inst, cat, w, seed)
+		})
 		if err != nil {
 			return nil, err
 		}
-		t.Rows = append(t.Rows, []string{"CDBTune (normal testing)", fmtF(norm.BestPerf.Throughput), fmtF(norm.BestPerf.Latency99)})
 		tables = append(tables, t)
 	}
 	return tables, nil
@@ -128,60 +93,23 @@ func Fig12(b Budget) (Table, error) {
 		Title:  "Figure 12: model trained on Sysbench RW applied to TPC-C (CDB-C)",
 		Header: []string{"tuner", "throughput (txn/sec)", "latency99 (ms)"},
 	}
-
-	e := newEnv(knobs.EngineCDB, inst, cat, target, seed)
-	bcfg := bestconfig.DefaultConfig()
-	bcfg.Budget = b.BestConfigSteps
-	bcfg.Seed = seed
-	bres, err := bestconfig.Tune(e, bcfg)
-	if err != nil {
-		return t, err
-	}
-	t.Rows = append(t.Rows, []string{"BestConfig", fmtF(bres.BestPerf.Throughput), fmtF(bres.BestPerf.Latency99)})
-
-	e = newEnv(knobs.EngineCDB, inst, cat, target, seed+1)
-	_, dperf, err := dba.Tune(e)
-	if err != nil {
-		return t, err
-	}
-	t.Rows = append(t.Rows, []string{"DBA", fmtF(dperf.Throughput), fmtF(dperf.Latency99)})
-
 	repo, err := buildRepo(b, knobs.EngineCDB, inst, cat, []workload.Workload{workload.SysbenchRW()}, seed+2)
 	if err != nil {
 		return t, err
 	}
-	e = newEnv(knobs.EngineCDB, inst, cat, target, seed+3)
-	ocfg := ottertune.DefaultConfig()
-	ocfg.Steps = b.OtterTuneSteps
-	ocfg.Seed = seed
-	ores, err := ottertune.Tune(e, repo, ocfg)
-	if err != nil {
-		return t, err
-	}
-	t.Rows = append(t.Rows, []string{"OtterTune", fmtF(ores.BestPerf.Throughput), fmtF(ores.BestPerf.Latency99)})
-
-	// Cross testing: M_RW→TPC-C.
 	rwTuner, _, err := trainTuner(b, knobs.EngineCDB, inst, cat, []workload.Workload{workload.SysbenchRW()}, seed+10)
 	if err != nil {
 		return t, err
 	}
-	e = newEnv(knobs.EngineCDB, inst, cat, target, seed+11)
-	cross, err := rwTuner.OnlineTune(context.TODO(), e, core.TuneOptions{Steps: b.OnlineSteps, FineTune: true})
-	if err != nil {
-		return t, err
-	}
-	t.Rows = append(t.Rows, []string{"CDBTune (M_RW→TPC-C)", fmtF(cross.BestPerf.Throughput), fmtF(cross.BestPerf.Latency99)})
-
-	// Normal testing: M_TPC-C→TPC-C.
 	tpccTuner, _, err := trainTuner(b, knobs.EngineCDB, inst, cat, []workload.Workload{target}, seed+20)
 	if err != nil {
 		return t, err
 	}
-	e = newEnv(knobs.EngineCDB, inst, cat, target, seed+21)
-	norm, err := tpccTuner.OnlineTune(context.TODO(), e, core.TuneOptions{Steps: b.OnlineSteps, FineTune: true})
-	if err != nil {
-		return t, err
-	}
-	t.Rows = append(t.Rows, []string{"CDBTune (M_TPC-C→TPC-C)", fmtF(norm.BestPerf.Throughput), fmtF(norm.BestPerf.Latency99)})
-	return t, nil
+	return perfTable(t, []tuner{
+		bestConfig(b, seed), expertDBA(), otterTune(b, repo, seed, false),
+		cdbTune("CDBTune (M_RW→TPC-C)", b, rwTuner),
+		cdbTune("CDBTune (M_TPC-C→TPC-C)", b, tpccTuner),
+	}, []int64{seed, seed + 1, seed + 3, seed + 11, seed + 21}, func(s int64) *env.Env {
+		return newEnv(knobs.EngineCDB, inst, cat, target, s)
+	})
 }

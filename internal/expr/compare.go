@@ -1,100 +1,43 @@
 package expr
 
 import (
-	"context"
 	"fmt"
 
-	"cdbtune/internal/bestconfig"
 	"cdbtune/internal/core"
-	"cdbtune/internal/dba"
+	"cdbtune/internal/env"
 	"cdbtune/internal/knobs"
-	"cdbtune/internal/metrics"
 	"cdbtune/internal/ottertune"
 	"cdbtune/internal/simdb"
 	"cdbtune/internal/workload"
 )
 
-// sixWay runs the paper's standard comparison (Figures 9, 16, 17, 18):
-// engine defaults, CDB defaults, BestConfig, DBA, OtterTune and CDBTune on
-// one workload/instance, returning (throughput, latency99) per tuner.
-type sixWayResult struct {
-	Names []string
-	Perf  []metrics.External
-}
-
-func runSixWay(b Budget, engine knobs.Engine, inst simdb.Instance, w workload.Workload, tuner *core.Tuner, repo *ottertune.Repository, seed int64) (sixWayResult, error) {
-	var out sixWayResult
-	add := func(name string, p metrics.External) {
-		out.Names = append(out.Names, name)
-		out.Perf = append(out.Perf, p)
+// sixWay runs the paper's standard comparison (Figures 9, 16, 17, 18) on
+// one workload/instance and appends one row per tool to t: engine
+// defaults, CDB defaults, BestConfig, DBA, OtterTune and CDBTune, on env
+// seeds seed, seed+1, …, seed+5.
+func sixWay(b Budget, t Table, engine knobs.Engine, inst simdb.Instance, w workload.Workload, model *core.Tuner, repo *ottertune.Repository, seed int64) (Table, error) {
+	cat := model.Config().Cat
+	rows := []tuner{
+		engineDefault(engine), cdbDefault(), bestConfig(b, seed), expertDBA(),
+		otterTune(b, repo, seed, false), cdbTune("CDBTune", b, model),
 	}
-	cat := tuner.Config().Cat
-
-	// Engine defaults.
-	e := newEnv(engine, inst, cat, w, seed)
-	base, err := e.Measure()
-	if err != nil {
-		return out, err
+	seeds := make([]int64, len(rows))
+	for i := range seeds {
+		seeds[i] = seed + int64(i)
 	}
-	add(engine.String()+" default", base.Ext)
-
-	// CDB shipped defaults.
-	e = newEnv(engine, inst, cat, w, seed+1)
-	res, err := e.Step(cdbDefault(e))
-	if err != nil {
-		return out, err
-	}
-	add("CDB default", res.Ext)
-
-	// BestConfig.
-	e = newEnv(engine, inst, cat, w, seed+2)
-	bcfg := bestconfig.DefaultConfig()
-	bcfg.Budget = b.BestConfigSteps
-	bcfg.Seed = seed
-	bres, err := bestconfig.Tune(e, bcfg)
-	if err != nil {
-		return out, err
-	}
-	add("BestConfig", bres.BestPerf)
-
-	// DBA.
-	e = newEnv(engine, inst, cat, w, seed+3)
-	_, dperf, err := dba.Tune(e)
-	if err != nil {
-		return out, err
-	}
-	add("DBA", dperf)
-
-	// OtterTune.
-	e = newEnv(engine, inst, cat, w, seed+4)
-	ocfg := ottertune.DefaultConfig()
-	ocfg.Steps = b.OtterTuneSteps
-	ocfg.Seed = seed
-	ores, err := ottertune.Tune(e, repo, ocfg)
-	if err != nil {
-		return out, err
-	}
-	add("OtterTune", ores.BestPerf)
-
-	// CDBTune: the 5-step online protocol with fine-tuning.
-	e = newEnv(engine, inst, cat, w, seed+5)
-	tres, err := tuner.OnlineTune(context.TODO(), e, core.TuneOptions{Steps: b.OnlineSteps, FineTune: true})
-	if err != nil {
-		return out, err
-	}
-	add("CDBTune", tres.BestPerf)
-	return out, nil
+	return perfTable(t, rows, seeds, func(s int64) *env.Env { return newEnv(engine, inst, cat, w, s) })
 }
 
 // fig9Cache memoizes Fig9 runs per budget: the experiment is
-// deterministic in (budget name, seed), and Table 3 is derived from the
-// same data.
+// deterministic in the budget, and Table 3 is derived from the same
+// data. The key spells out every field, so budgets that differ anywhere
+// never share an entry.
 var fig9Cache = map[string][]Table{}
 
 // Fig9 reproduces Figure 9: throughput and 99th-percentile latency for
 // Sysbench RW, RO and WO on CDB-A across the six settings.
 func Fig9(b Budget) ([]Table, error) {
-	key := fmt.Sprintf("%s/%d/%d", b.Name, b.Seed, b.Episodes)
+	key := fmt.Sprintf("%+v", b)
 	if cached, ok := fig9Cache[key]; ok {
 		return cached, nil
 	}
@@ -118,16 +61,12 @@ func fig9Run(b Budget) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		six, err := runSixWay(b, knobs.EngineCDB, simdb.CDBA, w, tuner, repo, b.Seed+int64(wi*100)+50)
-		if err != nil {
-			return nil, err
-		}
-		t := Table{
+		t, err := sixWay(b, Table{
 			Title:  fmt.Sprintf("Figure 9 (%s on CDB-A)", w.Name),
 			Header: []string{"tuner", "throughput (txn/sec)", "99th %-tile latency (ms)"},
-		}
-		for i, n := range six.Names {
-			t.Rows = append(t.Rows, []string{n, fmtF(six.Perf[i].Throughput), fmtF(six.Perf[i].Latency99)})
+		}, knobs.EngineCDB, simdb.CDBA, w, tuner, repo, b.Seed+int64(wi*100)+50)
+		if err != nil {
+			return nil, err
 		}
 		tables = append(tables, t)
 	}
@@ -196,13 +135,10 @@ func Fig16to18(b Budget) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		six, err := runSixWay(b, c.engine, c.inst, c.w, tuner, repo, seed+60)
+		t, err := sixWay(b, Table{Title: c.title, Header: []string{"tuner", "throughput", "latency99 (ms)"}},
+			c.engine, c.inst, c.w, tuner, repo, seed+60)
 		if err != nil {
 			return nil, err
-		}
-		t := Table{Title: c.title, Header: []string{"tuner", "throughput", "latency99 (ms)"}}
-		for i, n := range six.Names {
-			t.Rows = append(t.Rows, []string{n, fmtF(six.Perf[i].Throughput), fmtF(six.Perf[i].Latency99)})
 		}
 		tables = append(tables, t)
 	}
@@ -218,46 +154,32 @@ func Table2(b Budget) (Table, error) {
 		Title:  "Table 2: online tuning steps and time per request",
 		Header: []string{"tuning tool", "total steps", "total time (min)"},
 	}
-
-	// CDBTune: 5 recommendation steps with a pre-trained model.
-	tuner, _, err := trainTuner(b, knobs.EngineCDB, simdb.CDBA, cat, []workload.Workload{w}, b.Seed+3000)
+	// CDBTune recommends from a pre-trained model; OtterTune fits its
+	// repository per request; BestConfig searches from scratch; the DBA
+	// makes one expert pass.
+	model, _, err := trainTuner(b, knobs.EngineCDB, simdb.CDBA, cat, []workload.Workload{w}, b.Seed+3000)
 	if err != nil {
 		return out, err
 	}
-	e := newEnv(knobs.EngineCDB, simdb.CDBA, cat, w, b.Seed+3050)
-	tres, err := tuner.OnlineTune(context.TODO(), e, core.TuneOptions{Steps: b.OnlineSteps, FineTune: true})
-	if err != nil {
-		return out, err
-	}
-	out.Rows = append(out.Rows, []string{"CDBTune", fmt.Sprintf("%d", b.OnlineSteps), fmtF(tres.Seconds / 60)})
-
-	// OtterTune: trains/fits per request, 11 steps.
 	repo, err := buildRepo(b, knobs.EngineCDB, simdb.CDBA, cat, []workload.Workload{w}, b.Seed+3100)
 	if err != nil {
 		return out, err
 	}
-	e = newEnv(knobs.EngineCDB, simdb.CDBA, cat, w, b.Seed+3150)
-	ocfg := ottertune.DefaultConfig()
-	ocfg.Steps = b.OtterTuneSteps
-	if _, err := ottertune.Tune(e, repo, ocfg); err != nil {
-		return out, err
+	for _, r := range []struct {
+		tuner
+		steps int
+		seed  int64
+	}{
+		{cdbTune("CDBTune", b, model), b.OnlineSteps, 3050},
+		{otterTune(b, repo, b.Seed, false), b.OtterTuneSteps, 3150},
+		{bestConfig(b, b.Seed), b.BestConfigSteps, 3200},
+		{expertDBA(), 1, 3300},
+	} {
+		e := newEnv(knobs.EngineCDB, simdb.CDBA, cat, w, b.Seed+r.seed)
+		if _, err := r.tune(e); err != nil {
+			return out, err
+		}
+		out.Rows = append(out.Rows, []string{r.name, fmt.Sprintf("%d", r.steps), fmtF(e.Clock.Minutes())})
 	}
-	out.Rows = append(out.Rows, []string{"OtterTune", fmt.Sprintf("%d", b.OtterTuneSteps), fmtF(e.Clock.Minutes())})
-
-	// BestConfig: 50-step search from scratch.
-	e = newEnv(knobs.EngineCDB, simdb.CDBA, cat, w, b.Seed+3200)
-	bcfg := bestconfig.DefaultConfig()
-	bcfg.Budget = b.BestConfigSteps
-	if _, err := bestconfig.Tune(e, bcfg); err != nil {
-		return out, err
-	}
-	out.Rows = append(out.Rows, []string{"BestConfig", fmt.Sprintf("%d", b.BestConfigSteps), fmtF(e.Clock.Minutes())})
-
-	// DBA: one expert pass, 8.6 hours.
-	e = newEnv(knobs.EngineCDB, simdb.CDBA, cat, w, b.Seed+3300)
-	if _, _, err := dba.Tune(e); err != nil {
-		return out, err
-	}
-	out.Rows = append(out.Rows, []string{"DBA", "1", fmtF(e.Clock.Minutes())})
 	return out, nil
 }

@@ -1,10 +1,8 @@
 package expr
 
 import (
-	"context"
 	"fmt"
 
-	"cdbtune/internal/core"
 	"cdbtune/internal/knobs"
 	"cdbtune/internal/simdb"
 	"cdbtune/internal/workload"
@@ -56,8 +54,7 @@ func CrossEngine(b Budget, knobCap int) (Table, error) {
 		if err != nil {
 			return out, fmt.Errorf("%s train: %w", c.engine, err)
 		}
-		e := newEnv(c.engine, c.inst, cat, c.w, seed+90)
-		res, err := tuner.OnlineTune(context.TODO(), e, core.TuneOptions{Steps: b.OnlineSteps, FineTune: true})
+		res, err := onlineTune(b, tuner, newEnv(c.engine, c.inst, cat, c.w, seed+90))
 		if err != nil {
 			return out, fmt.Errorf("%s tune: %w", c.engine, err)
 		}

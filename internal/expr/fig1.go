@@ -23,45 +23,15 @@ func Fig1AB(b Budget, sampleCounts []int) ([]Figure, error) {
 	var figs []Figure
 	for fi, w := range []workload.Workload{workload.TPCH(), workload.SysbenchRW()} {
 		seed := b.Seed + int64(fi*1000)
-		// References.
-		eDef := newEnv(knobs.EngineCDB, simdb.CDBA, knobs.MySQL(knobs.EngineCDB), w, seed)
-		base, err := eDef.Measure()
+		mkEnv := func(s int64) *env.Env {
+			return newEnv(knobs.EngineCDB, simdb.CDBA, knobs.MySQL(knobs.EngineCDB), w, s)
+		}
+		// The horizontal references.
+		base, err := engineDefault(knobs.EngineCDB).tune(mkEnv(seed))
 		if err != nil {
 			return nil, err
 		}
-		eDBA := newEnv(knobs.EngineCDB, simdb.CDBA, knobs.MySQL(knobs.EngineCDB), w, seed+1)
-		_, dbaPerf, err := dba.Tune(eDBA)
-		if err != nil {
-			return nil, err
-		}
-
-		mkSeries := func(name string, useDNN bool) (Series, error) {
-			s := Series{Name: name}
-			for i, n := range sampleCounts {
-				repoEnv := newEnv(knobs.EngineCDB, simdb.CDBA, knobs.MySQL(knobs.EngineCDB), w, seed+10+int64(i))
-				repo, err := ottertune.BuildRepository([]*env.Env{repoEnv}, n, dba.Recommend, seed+20+int64(i))
-				if err != nil {
-					return s, err
-				}
-				e := newEnv(knobs.EngineCDB, simdb.CDBA, knobs.MySQL(knobs.EngineCDB), w, seed+40+int64(i))
-				cfg := ottertune.DefaultConfig()
-				cfg.Steps = b.OtterTuneSteps
-				cfg.UseDNN = useDNN
-				cfg.Seed = seed + int64(i)
-				out, err := ottertune.Tune(e, repo, cfg)
-				if err != nil {
-					return s, err
-				}
-				s.X = append(s.X, float64(n))
-				s.Y = append(s.Y, out.BestPerf.Throughput)
-			}
-			return s, nil
-		}
-		ot, err := mkSeries("OtterTune", false)
-		if err != nil {
-			return nil, err
-		}
-		otDNN, err := mkSeries("OtterTune with deep learning", true)
+		dbaPerf, err := expertDBA().tune(mkEnv(seed + 1))
 		if err != nil {
 			return nil, err
 		}
@@ -73,11 +43,31 @@ func Fig1AB(b Budget, sampleCounts []int) ([]Figure, error) {
 			}
 			return s
 		}
+
+		var series []Series
+		for _, dnn := range []bool{false, true} {
+			var s Series
+			for i, n := range sampleCounts {
+				repo, err := ottertune.BuildRepository([]*env.Env{mkEnv(seed + 10 + int64(i))}, n, dba.Recommend, seed+20+int64(i))
+				if err != nil {
+					return nil, err
+				}
+				ot := otterTune(b, repo, seed+int64(i), dnn)
+				perf, err := ot.tune(mkEnv(seed + 40 + int64(i)))
+				if err != nil {
+					return nil, err
+				}
+				s.Name = ot.name
+				s.X = append(s.X, float64(n))
+				s.Y = append(s.Y, perf.Throughput)
+			}
+			series = append(series, s)
+		}
 		figs = append(figs, Figure{
 			Title:  fmt.Sprintf("Figure 1(%c): throughput vs number of samples, %s on CDB-A", 'a'+fi, w.Name),
 			XLabel: "training samples",
 			YLabel: "throughput (txn/sec)",
-			Series: []Series{ot, otDNN, flat("MySQL Default", base.Ext.Throughput), flat("DBA", dbaPerf.Throughput)},
+			Series: append(series, flat("MySQL Default", base.Throughput), flat("DBA", dbaPerf.Throughput)),
 		})
 	}
 	return figs, nil

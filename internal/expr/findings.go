@@ -1,10 +1,8 @@
 package expr
 
 import (
-	"context"
 	"fmt"
 
-	"cdbtune/internal/core"
 	"cdbtune/internal/knobs"
 	"cdbtune/internal/simdb"
 	"cdbtune/internal/workload"
@@ -41,8 +39,7 @@ func Findings(b Budget) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		e := newEnv(knobs.EngineCDB, simdb.CDBA, cat, w, seed+90)
-		res, err := tuner.OnlineTune(context.TODO(), e, core.TuneOptions{Steps: b.OnlineSteps, FineTune: true})
+		res, err := onlineTune(b, tuner, newEnv(knobs.EngineCDB, simdb.CDBA, cat, w, seed+90))
 		if err != nil {
 			return t, err
 		}
@@ -67,8 +64,7 @@ func ExtYCSBVariants(b Budget) (Table, error) {
 	cat := knobs.MongoDB()
 	for vi, w := range workload.YCSBVariants() {
 		seed := b.Seed + int64(15000+vi*31)
-		e := newEnv(knobs.EngineMongoDB, simdb.CDBE, cat, w, seed)
-		base, err := e.Measure()
+		base, err := newEnv(knobs.EngineMongoDB, simdb.CDBE, cat, w, seed).Measure()
 		if err != nil {
 			return t, err
 		}
@@ -76,8 +72,7 @@ func ExtYCSBVariants(b Budget) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		e2 := newEnv(knobs.EngineMongoDB, simdb.CDBE, cat, w, seed+90)
-		res, err := tuner.OnlineTune(context.TODO(), e2, core.TuneOptions{Steps: b.OnlineSteps, FineTune: true})
+		res, err := onlineTune(b, tuner, newEnv(knobs.EngineMongoDB, simdb.CDBE, cat, w, seed+90))
 		if err != nil {
 			return t, err
 		}

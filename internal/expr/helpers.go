@@ -52,42 +52,15 @@ func warmConfig(b Budget, cat *knobs.Catalog, inst simdb.Instance) core.Config {
 	return cfg
 }
 
-// trainTuner offline-trains a CDBTune model on the given workloads
-// (cycled across episodes) against the given instance. The episode budget
-// scales with the action dimension: larger knob spaces need proportionally
-// more try-and-error samples (the paper trains every configuration to
-// convergence; a fixed budget would starve the 266-knob models).
+// trainTuner offline-trains a CDBTune model with the default-configuration
+// warm start on the given workloads (cycled across episodes) against the
+// given instance. The paper trains every configuration to convergence;
+// train scales the episode budget with the knob count so the 266-knob
+// models are not starved.
 func trainTuner(b Budget, engine knobs.Engine, inst simdb.Instance, cat *knobs.Catalog, ws []workload.Workload, seedBase int64) (*core.Tuner, core.TrainReport, error) {
-	t, err := core.New(warmConfig(b, cat, inst))
-	if err != nil {
-		return nil, core.TrainReport{}, err
-	}
-	episodes := scaledEpisodes(b, cat)
-	rep, err := t.OfflineTrainOpts(func(ep int) *env.Env {
-		w := ws[ep%len(ws)]
-		return newEnv(engine, inst, cat, w, seedBase+int64(ep))
-	}, core.TrainOptions{Episodes: episodes})
-	return t, rep, err
-}
-
-// cdbDefault is the Tencent CDB shipped configuration: modestly better
-// than the MySQL defaults (a bigger pool and log, more connections) but
-// untuned for any particular workload.
-func cdbDefault(e *env.Env) []float64 {
-	hw := e.DB.Instance().HW
-	x := e.Default()
-	set := func(role knobs.Role, actual float64) {
-		i := e.Cat.RoleIndex(role)
-		if i < 0 {
-			return
-		}
-		x[i] = e.Cat.Knobs[i].Normalize(actual, hw.RAMGB, hw.DiskGB)
-	}
-	set(knobs.RoleBufferPool, 0.25*hw.RAMGB*1024)
-	set(knobs.RoleLogFileSize, 256)
-	set(knobs.RoleMaxConnections, 800)
-	set(knobs.RoleLogBufferSize, 16)
-	return x
+	return train(b, warmConfig(b, cat, inst), func(ep int) *env.Env {
+		return newEnv(engine, inst, cat, ws[ep%len(ws)], seedBase+int64(ep))
+	})
 }
 
 // buildRepo collects an OtterTune repository on the given workloads.

@@ -1,14 +1,11 @@
 package expr
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 
-	"cdbtune/internal/core"
 	"cdbtune/internal/dba"
 	"cdbtune/internal/knobs"
-	"cdbtune/internal/ottertune"
 	"cdbtune/internal/simdb"
 	"cdbtune/internal/workload"
 )
@@ -71,12 +68,9 @@ func KnobSweep(b Budget, order KnobOrder, counts []int) (Figure, Figure, Figure,
 	latFig := Figure{Title: name + " — latency", XLabel: "number of knobs", YLabel: "99th %-tile (ms)"}
 	iterFig := Figure{Title: name + " — iterations", XLabel: "number of knobs", YLabel: "training iterations"}
 
-	var cdbT, cdbL, dbaT, dbaL, otT, otL, iters Series
-	cdbT.Name, cdbL.Name = "CDBTune", "CDBTune"
-	dbaT.Name, dbaL.Name = "DBA", "DBA"
-	otT.Name, otL.Name = "OtterTune", "OtterTune"
-	iters.Name = "CDBTune iterations"
-
+	// One throughput and one latency series per tool, in row order.
+	var tput, lat []Series
+	iters := Series{Name: "CDBTune iterations"}
 	for pi, n := range counts {
 		if n > full.Len() {
 			n = full.Len()
@@ -85,60 +79,37 @@ func KnobSweep(b Budget, order KnobOrder, counts []int) (Figure, Figure, Figure,
 		seed := b.Seed + int64(4200+pi*37)
 		x := float64(n)
 
-		// CDBTune trained on the subset.
-		tuner, rep, err := trainTuner(b, knobs.EngineCDB, simdb.CDBB, sub, []workload.Workload{w}, seed)
+		// CDBTune trained on the subset; for the DBA and OtterTune
+		// orderings, those tools restricted to the subset too.
+		model, rep, err := trainTuner(b, knobs.EngineCDB, simdb.CDBB, sub, []workload.Workload{w}, seed)
 		if err != nil {
 			return tputFig, latFig, iterFig, err
 		}
-		e := newEnv(knobs.EngineCDB, simdb.CDBB, sub, w, seed+60)
-		tres, err := tuner.OnlineTune(context.TODO(), e, core.TuneOptions{Steps: b.OnlineSteps, FineTune: true})
-		if err != nil {
-			return tputFig, latFig, iterFig, err
+		iters.X, iters.Y = append(iters.X, x), append(iters.Y, float64(iterations(rep)))
+		rows := []tuner{cdbTune("CDBTune", b, model)}
+		seeds := []int64{seed + 60}
+		if order != OrderRandom {
+			repo, err := buildRepo(b, knobs.EngineCDB, simdb.CDBB, sub, []workload.Workload{w}, seed+62)
+			if err != nil {
+				return tputFig, latFig, iterFig, err
+			}
+			rows = append(rows, expertDBA(), otterTune(b, repo, seed, false))
+			seeds = append(seeds, seed+61, seed+63)
 		}
-		cdbT.X, cdbT.Y = append(cdbT.X, x), append(cdbT.Y, tres.BestPerf.Throughput)
-		cdbL.X, cdbL.Y = append(cdbL.X, x), append(cdbL.Y, tres.BestPerf.Latency99)
-		conv := rep.ConvergedAt
-		if conv == 0 {
-			conv = rep.Iterations
+		for i, r := range rows {
+			perf, err := r.tune(newEnv(knobs.EngineCDB, simdb.CDBB, sub, w, seeds[i]))
+			if err != nil {
+				return tputFig, latFig, iterFig, err
+			}
+			if pi == 0 {
+				tput, lat = append(tput, Series{Name: r.name}), append(lat, Series{Name: r.name})
+			}
+			tput[i].X, tput[i].Y = append(tput[i].X, x), append(tput[i].Y, perf.Throughput)
+			lat[i].X, lat[i].Y = append(lat[i].X, x), append(lat[i].Y, perf.Latency99)
 		}
-		iters.X, iters.Y = append(iters.X, x), append(iters.Y, float64(conv))
-
-		if order == OrderRandom {
-			continue
-		}
-		// DBA restricted to the subset.
-		e = newEnv(knobs.EngineCDB, simdb.CDBB, sub, w, seed+61)
-		_, dperf, err := dba.Tune(e)
-		if err != nil {
-			return tputFig, latFig, iterFig, err
-		}
-		dbaT.X, dbaT.Y = append(dbaT.X, x), append(dbaT.Y, dperf.Throughput)
-		dbaL.X, dbaL.Y = append(dbaL.X, x), append(dbaL.Y, dperf.Latency99)
-
-		// OtterTune on the subset.
-		repo, err := buildRepo(b, knobs.EngineCDB, simdb.CDBB, sub, []workload.Workload{w}, seed+62)
-		if err != nil {
-			return tputFig, latFig, iterFig, err
-		}
-		e = newEnv(knobs.EngineCDB, simdb.CDBB, sub, w, seed+63)
-		ocfg := ottertune.DefaultConfig()
-		ocfg.Steps = b.OtterTuneSteps
-		ocfg.Seed = seed
-		ores, err := ottertune.Tune(e, repo, ocfg)
-		if err != nil {
-			return tputFig, latFig, iterFig, err
-		}
-		otT.X, otT.Y = append(otT.X, x), append(otT.Y, ores.BestPerf.Throughput)
-		otL.X, otL.Y = append(otL.X, x), append(otL.Y, ores.BestPerf.Latency99)
 	}
-
-	tputFig.Series = append(tputFig.Series, cdbT)
-	latFig.Series = append(latFig.Series, cdbL)
-	if order != OrderRandom {
-		tputFig.Series = append(tputFig.Series, dbaT, otT)
-		latFig.Series = append(latFig.Series, dbaL, otL)
-	}
-	iterFig.Series = append(iterFig.Series, iters)
+	tputFig.Series, latFig.Series = tput, lat
+	iterFig.Series = []Series{iters}
 	return tputFig, latFig, iterFig, nil
 }
 
@@ -151,6 +122,8 @@ func Fig5(b Budget, maxSteps int) ([]Figure, error) {
 		maxSteps = 50
 	}
 	cat := knobs.MySQL(knobs.EngineCDB)
+	long := b
+	long.OnlineSteps = maxSteps
 	var figs []Figure
 	for wi, w := range []workload.Workload{workload.SysbenchRW(), workload.SysbenchRO(), workload.SysbenchWO()} {
 		seed := b.Seed + int64(4500+wi*41)
@@ -159,7 +132,7 @@ func Fig5(b Budget, maxSteps int) ([]Figure, error) {
 			return nil, err
 		}
 		e := newEnv(knobs.EngineCDB, simdb.CDBA, cat, w, seed+70)
-		res, err := tuner.OnlineTune(context.TODO(), e, core.TuneOptions{Steps: maxSteps, FineTune: true})
+		res, err := onlineTune(long, tuner, e)
 		if err != nil {
 			return nil, err
 		}

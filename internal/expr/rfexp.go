@@ -1,10 +1,8 @@
 package expr
 
 import (
-	"context"
 	"fmt"
 
-	"cdbtune/internal/core"
 	"cdbtune/internal/env"
 	"cdbtune/internal/knobs"
 	"cdbtune/internal/reward"
@@ -39,27 +37,18 @@ func Fig14(b Budget) ([]Table, error) {
 			cfg := warmConfig(b, cat, c.inst)
 			cfg.RewardKind = kind
 			cfg.Seed = seed
-			tuner, err := core.New(cfg)
-			if err != nil {
-				return nil, err
-			}
-			rep, err := tuner.OfflineTrainOpts(func(ep int) *env.Env {
+			model, rep, err := train(b, cfg, func(ep int) *env.Env {
 				return newEnv(knobs.EngineCDB, c.inst, cat, c.w, seed+int64(ep))
-			}, core.TrainOptions{Episodes: scaledEpisodes(b, cat)})
+			})
 			if err != nil {
 				return nil, err
 			}
-			e := newEnv(knobs.EngineCDB, c.inst, cat, c.w, seed+90)
-			res, err := tuner.OnlineTune(context.TODO(), e, core.TuneOptions{Steps: b.OnlineSteps, FineTune: true})
+			res, err := onlineTune(b, model, newEnv(knobs.EngineCDB, c.inst, cat, c.w, seed+90))
 			if err != nil {
 				return nil, err
-			}
-			conv := rep.ConvergedAt
-			if conv == 0 {
-				conv = rep.Iterations
 			}
 			t.Rows = append(t.Rows, []string{
-				kind.String(), fmt.Sprintf("%d", conv),
+				kind.String(), fmt.Sprintf("%d", iterations(rep)),
 				fmtF(res.BestPerf.Throughput), fmtF(res.BestPerf.Latency99),
 			})
 		}
@@ -88,17 +77,13 @@ func Fig15(b Budget, cts []float64) (Figure, error) {
 		cfg := warmConfig(b, cat, simdb.CDBA)
 		cfg.CT, cfg.CL = ct, 1-ct
 		cfg.Seed = seed
-		tuner, err := core.New(cfg)
+		model, _, err := train(b, cfg, func(ep int) *env.Env {
+			return newEnv(knobs.EngineCDB, simdb.CDBA, cat, w, seed+int64(ep))
+		})
 		if err != nil {
 			return 0, 0, err
 		}
-		if _, err := tuner.OfflineTrainOpts(func(ep int) *env.Env {
-			return newEnv(knobs.EngineCDB, simdb.CDBA, cat, w, seed+int64(ep))
-		}, core.TrainOptions{Episodes: scaledEpisodes(b, cat)}); err != nil {
-			return 0, 0, err
-		}
-		e := newEnv(knobs.EngineCDB, simdb.CDBA, cat, w, seed+90)
-		res, err := tuner.OnlineTune(context.TODO(), e, core.TuneOptions{Steps: b.OnlineSteps, FineTune: true})
+		res, err := onlineTune(b, model, newEnv(knobs.EngineCDB, simdb.CDBA, cat, w, seed+90))
 		if err != nil {
 			return 0, 0, err
 		}
@@ -169,30 +154,21 @@ func Table6(b Budget, shrink int) (Table, error) {
 		cfg.DDPG.ActorHidden = div(a.actor)
 		cfg.DDPG.CriticHidden = div(a.critic)
 		cfg.Seed = seed
-		tuner, err := core.New(cfg)
-		if err != nil {
-			return t, err
-		}
-		rep, err := tuner.OfflineTrainOpts(func(ep int) *env.Env {
+		model, rep, err := train(b, cfg, func(ep int) *env.Env {
 			return newEnv(knobs.EngineCDB, simdb.CDBB, cat, w, seed+int64(ep))
-		}, core.TrainOptions{Episodes: scaledEpisodes(b, cat)})
+		})
 		if err != nil {
 			return t, err
 		}
-		e := newEnv(knobs.EngineCDB, simdb.CDBB, cat, w, seed+90)
-		res, err := tuner.OnlineTune(context.TODO(), e, core.TuneOptions{Steps: b.OnlineSteps, FineTune: true})
+		res, err := onlineTune(b, model, newEnv(knobs.EngineCDB, simdb.CDBB, cat, w, seed+90))
 		if err != nil {
 			return t, err
-		}
-		conv := rep.ConvergedAt
-		if conv == 0 {
-			conv = rep.Iterations
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", len(a.actor)), fmtInts(div(a.actor)),
 			fmt.Sprintf("%d", len(a.critic)), fmtInts(div(a.critic)),
 			fmtF(res.BestPerf.Throughput), fmtF(res.BestPerf.Latency99),
-			fmt.Sprintf("%d", conv),
+			fmt.Sprintf("%d", iterations(rep)),
 		})
 	}
 	return t, nil

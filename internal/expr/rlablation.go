@@ -1,11 +1,9 @@
 package expr
 
 import (
-	"context"
 	"fmt"
 	"math"
 
-	"cdbtune/internal/core"
 	"cdbtune/internal/env"
 	"cdbtune/internal/knobs"
 	"cdbtune/internal/metrics"
@@ -117,8 +115,7 @@ func QLearnDQN(b Budget, episodes int) (Table, error) {
 	if err != nil {
 		return t, err
 	}
-	e := newEnv(knobs.EngineCDB, simdb.CDBA, cat, w, b.Seed+11090)
-	res, err := tuner.OnlineTune(context.TODO(), e, core.TuneOptions{Steps: b.OnlineSteps, FineTune: true})
+	res, err := onlineTune(b, tuner, newEnv(knobs.EngineCDB, simdb.CDBA, cat, w, b.Seed+11090))
 	if err != nil {
 		return t, err
 	}
@@ -150,25 +147,17 @@ func AblationReplay(b Budget) (Table, error) {
 		cfg := warmConfig(b, cat, simdb.CDBA)
 		cfg.DDPG.Prioritized = prioritized
 		cfg.Seed = seed
-		tuner, err := core.New(cfg)
-		if err != nil {
-			return t, err
-		}
-		rep, err := tuner.OfflineTrainOpts(func(ep int) *env.Env {
+		_, rep, err := train(b, cfg, func(ep int) *env.Env {
 			return newEnv(knobs.EngineCDB, simdb.CDBA, cat, w, seed+int64(ep))
-		}, core.TrainOptions{Episodes: scaledEpisodes(b, cat)})
+		})
 		if err != nil {
 			return t, err
-		}
-		conv := rep.ConvergedAt
-		if conv == 0 {
-			conv = rep.Iterations
 		}
 		name := "uniform"
 		if prioritized {
 			name = "prioritized"
 		}
-		t.Rows = append(t.Rows, []string{name, fmt.Sprintf("%d", conv), fmtF(rep.BestPerf.Throughput)})
+		t.Rows = append(t.Rows, []string{name, fmt.Sprintf("%d", iterations(rep)), fmtF(rep.BestPerf.Throughput)})
 	}
 	return t, nil
 }
@@ -187,20 +176,16 @@ func AblationAction(b Budget) (Table, error) {
 		seed := b.Seed + 13000
 		cfg := warmConfig(b, cat, simdb.CDBA)
 		cfg.Seed = seed
-		tuner, err := core.New(cfg)
-		if err != nil {
-			return t, err
-		}
 		mk := func(ep int) *env.Env {
 			e := newEnv(knobs.EngineCDB, simdb.CDBA, cat, w, seed+int64(ep))
 			e.DeltaScale = delta
 			return e
 		}
-		if _, err := tuner.OfflineTrainOpts(mk, core.TrainOptions{Episodes: scaledEpisodes(b, cat)}); err != nil {
+		model, _, err := train(b, cfg, mk)
+		if err != nil {
 			return t, err
 		}
-		e := mk(9999)
-		res, err := tuner.OnlineTune(context.TODO(), e, core.TuneOptions{Steps: b.OnlineSteps, FineTune: true})
+		res, err := onlineTune(b, model, mk(9999))
 		if err != nil {
 			return t, err
 		}
