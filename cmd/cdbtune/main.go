@@ -42,8 +42,8 @@ func main() {
 		err = cmdInfo()
 	case "knobs":
 		err = cmdKnobs(os.Args[2:])
-	case "benchmark":
-		err = cmdBenchmark(os.Args[2:])
+	case "eval":
+		err = cmdEval(os.Args[2:])
 	case "serve":
 		err = cmdServe(os.Args[2:])
 	case "submit":
@@ -72,7 +72,7 @@ func usage() {
   cdbtune tune  -workload <name> [-instance CDB-A] [-engine cdb-mysql|lsm|…] [-steps 5] [-model model.bin] [-export my.cnf] [-chaos]
                 [-timeline diurnal24|flashcrowd] [-hours 0] [-timescale 60] [-drift-threshold 0.02] [-observe-sec 30]
   cdbtune knobs [-engine cdb-mysql] [-all]
-  cdbtune benchmark -config my.cnf [-workload <name>] [-instance CDB-A] [-engine cdb-mysql|lsm|…]
+  cdbtune eval  -config my.cnf [-workload <name>] [-instance CDB-A] [-engine cdb-mysql|lsm|…]
   cdbtune serve  [-addr 127.0.0.1:8080] [-registry registry] [-workers 2] [-queue 16]
                  [-match-radius 0.1] [-max-episodes 8] [-fine-tune-episodes 2] [-max-models 64]
                  [-timeline <name>] [-serve-hours 0] [-timescale 0] [-drift-threshold 0]
@@ -422,11 +422,11 @@ func dashIfEmpty(s string) string {
 	return s
 }
 
-// cmdBenchmark stress-tests a configuration file (the my.cnf syntax the
+// cmdEval stress-tests a configuration file (the my.cnf syntax the
 // tune -export flag writes) against a workload and reports the externals,
 // next to the defaults as a reference.
-func cmdBenchmark(args []string) error {
-	fs := flag.NewFlagSet("benchmark", flag.ExitOnError)
+func cmdEval(args []string) error {
+	fs := flag.NewFlagSet("eval", flag.ExitOnError)
 	cfgPath := fs.String("config", "", "configuration file to evaluate (my.cnf syntax)")
 	wname := fs.String("workload", "sysbench-rw", "workload name")
 	iname := fs.String("instance", "CDB-A", "instance name (Table 1)")
@@ -434,7 +434,7 @@ func cmdBenchmark(args []string) error {
 	seed := fs.Int64("seed", 1, "random seed")
 	fs.Parse(args)
 	if *cfgPath == "" {
-		return fmt.Errorf("benchmark: -config is required")
+		return fmt.Errorf("eval: -config is required")
 	}
 	w, err := workload.ByName(*wname)
 	if err != nil {

@@ -124,10 +124,17 @@ go test -count=1 -timeout 120s -run 'TestCrashSmoke|TestHarnessCatchesTornTailBu
 
 echo "== experiment front door =="
 # cdbtune exp over the four instant experiments (milliseconds of work) in
-# one renderer, and an unknown experiment ID must exit non-zero.
+# one renderer, and an unknown experiment ID must exit non-zero. cdbtune
+# eval stress-tests a checked-in my.cnf; the verb's former name,
+# `benchmark`, must be gone.
 go run ./cmd/cdbtune exp -budget quick -format csv table1 timing fig1c fig1d >/dev/null
 if go run ./cmd/cdbtune exp nosuchid 2>/dev/null; then
     echo "cdbtune exp accepted an unknown experiment ID" >&2
+    exit 1
+fi
+go run ./cmd/cdbtune eval -config cmd/cdbtune/testdata/small.cnf >/dev/null
+if go run ./cmd/cdbtune benchmark -config cmd/cdbtune/testdata/small.cnf 2>/dev/null; then
+    echo "cdbtune still accepts the benchmark verb (renamed to eval)" >&2
     exit 1
 fi
 
