@@ -21,13 +21,13 @@ type Row struct {
 
 // ModelPath is the per-layer ledger of everything a warm-started serving
 // job does with the model besides training it, at the full-size
-// configuration (266 MySQL knobs, shipped Table 5 networks — about 515 k
-// float64 values, 4.1 MB): serialize, deserialize, in-memory best-policy
-// snapshot of freshly updated weights, registry write (temp file + fsync +
-// rename + dir fsync on the real filesystem) and CRC-verified registry
-// read, the per-session tuner construction, and the whole zero-update
-// warm session those make up. EXPERIMENTS.md ("Model-path ledger")
-// records the trajectory.
+// configuration (266 MySQL knobs, shipped Table 5 networks — a 2.06 MB
+// saved policy, 4.1 MB snapshots): serialize, deserialize, in-memory
+// best-policy snapshot of freshly updated weights, registry write (temp
+// file + fsync + rename + dir fsync on the real filesystem) and
+// CRC-verified registry read, the per-session tuner construction, and the
+// whole zero-update warm session those make up. EXPERIMENTS.md
+// ("Model-path ledger") records the trajectory.
 type ModelPath struct {
 	// Measured and GoMaxProcs say when and how these rows were taken: they
 	// are refreshed on whatever box runs `make bench`, which need not be

@@ -480,11 +480,10 @@ func cmdEval(args []string) error {
 	if err != nil {
 		return fmt.Errorf("configuration crashed the instance: %w", err)
 	}
-	fmt.Printf("%s on %s:\n", w.Name, inst.Name)
+	fmt.Printf("%s on %s (tuned: %s):\n", w.Name, inst.Name, *cfgPath)
 	fmt.Printf("  defaults: %10.1f txn/sec  %10.1f ms (99th)\n", base.Ext.Throughput, base.Ext.Latency99)
-	fmt.Printf("  %-9s %10.1f txn/sec  %10.1f ms (99th)  [%+.1f%% throughput]\n",
-		*cfgPath+":", res.Ext.Throughput, res.Ext.Latency99,
-		(res.Ext.Throughput/base.Ext.Throughput-1)*100)
+	fmt.Printf("  tuned:    %10.1f txn/sec  %10.1f ms (99th)  [%+.1f%% throughput]\n",
+		res.Ext.Throughput, res.Ext.Latency99, (res.Ext.Throughput/base.Ext.Throughput-1)*100)
 	return nil
 }
 

@@ -158,7 +158,7 @@ func (c *Checkpointer) save(t *Tuner, rep TrainReport) error {
 
 	t.agentMu.Lock()
 	var agentBuf, bestBuf bytes.Buffer
-	err := t.agent.Save(&agentBuf)
+	err := t.agent.Snapshot().Save(&agentBuf) // all four networks: training state
 	if err == nil {
 		if pm, ok := t.agent.Memory.(persistentMemory); ok {
 			var memBuf bytes.Buffer

@@ -107,9 +107,11 @@ func TestRestoreBestKeepsAdamMoments(t *testing.T) {
 		}
 		return tn
 	}
+	// model is the four-network image, the layout the snapshot is encoded
+	// in below: Tuner.Save writes the policy alone.
 	model := func(tn *Tuner) []byte {
 		var buf bytes.Buffer
-		if err := tn.Save(&buf); err != nil {
+		if err := tn.agent.Snapshot().Save(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

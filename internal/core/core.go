@@ -189,7 +189,8 @@ func (t *Tuner) Iterations() int {
 	return t.iterations
 }
 
-// Save and Load persist the trained model.
+// Save and Load persist the trained model: Save writes the policy, and
+// Load also reads a checkpoint's four-network image (ddpg package doc).
 func (t *Tuner) Save(w io.Writer) error { return t.agent.Save(w) }
 func (t *Tuner) Load(r io.Reader) error { return t.agent.Load(r) }
 

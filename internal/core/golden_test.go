@@ -39,7 +39,7 @@ func (g *goldenRun) finish(t *testing.T, tn *Tuner, rep TrainReport) string {
 	t.Helper()
 	rep.Stalls = 0
 	fmt.Fprintf(g.h, "report %+v|", rep)
-	if err := tn.Save(g.h); err != nil {
+	if err := tn.Agent().Snapshot().Save(g.h); err != nil {
 		t.Fatal(err)
 	}
 	g.floats(tn.Agent().Noise.Scale())

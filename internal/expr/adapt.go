@@ -41,7 +41,7 @@ func adaptSweep(b Budget, title string, w workload.Workload, trainInst simdb.Ins
 	seed := b.Seed + 5000
 
 	// One base model trained on the training instance.
-	baseTuner, _, err := trainTuner(b, knobs.EngineCDB, trainInst, cat, []workload.Workload{w}, seed)
+	baseTuner, _, err := trainTuner(b, knobs.EngineCDB, trainInst, cat, w, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -55,7 +55,7 @@ func adaptSweep(b Budget, title string, w workload.Workload, trainInst simdb.Ins
 		inst := mkInst(x)
 		s := seed + int64(100+xi*31)
 		// Normal testing: a model trained on the target hardware.
-		normTuner, _, err := trainTuner(b, knobs.EngineCDB, inst, cat, []workload.Workload{w}, s+4)
+		normTuner, _, err := trainTuner(b, knobs.EngineCDB, inst, cat, w, s+4)
 		if err != nil {
 			return nil, err
 		}
@@ -97,11 +97,11 @@ func Fig12(b Budget) (Table, error) {
 	if err != nil {
 		return t, err
 	}
-	rwTuner, _, err := trainTuner(b, knobs.EngineCDB, inst, cat, []workload.Workload{workload.SysbenchRW()}, seed+10)
+	rwTuner, _, err := trainTuner(b, knobs.EngineCDB, inst, cat, workload.SysbenchRW(), seed+10)
 	if err != nil {
 		return t, err
 	}
-	tpccTuner, _, err := trainTuner(b, knobs.EngineCDB, inst, cat, []workload.Workload{target}, seed+20)
+	tpccTuner, _, err := trainTuner(b, knobs.EngineCDB, inst, cat, target, seed+20)
 	if err != nil {
 		return t, err
 	}

@@ -57,7 +57,7 @@ func fig9Run(b Budget) ([]Table, error) {
 	}
 	var tables []Table
 	for wi, w := range ws {
-		tuner, _, err := trainTuner(b, knobs.EngineCDB, simdb.CDBA, cat, []workload.Workload{w}, b.Seed+int64(wi*100))
+		tuner, _, err := trainTuner(b, knobs.EngineCDB, simdb.CDBA, cat, w, b.Seed+int64(wi*100))
 		if err != nil {
 			return nil, err
 		}
@@ -131,7 +131,7 @@ func Fig16to18(b Budget) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		tuner, _, err := trainTuner(b, c.engine, c.inst, cat, []workload.Workload{c.w}, seed+10)
+		tuner, _, err := trainTuner(b, c.engine, c.inst, cat, c.w, seed+10)
 		if err != nil {
 			return nil, err
 		}
@@ -157,7 +157,7 @@ func Table2(b Budget) (Table, error) {
 	// CDBTune recommends from a pre-trained model; OtterTune fits its
 	// repository per request; BestConfig searches from scratch; the DBA
 	// makes one expert pass.
-	model, _, err := trainTuner(b, knobs.EngineCDB, simdb.CDBA, cat, []workload.Workload{w}, b.Seed+3000)
+	model, _, err := trainTuner(b, knobs.EngineCDB, simdb.CDBA, cat, w, b.Seed+3000)
 	if err != nil {
 		return out, err
 	}

@@ -50,7 +50,7 @@ func CrossEngine(b Budget, knobCap int) (Table, error) {
 			return out, fmt.Errorf("%s defaults: %w", c.engine, err)
 		}
 
-		tuner, _, err := trainTuner(b, c.engine, c.inst, cat, []workload.Workload{c.w}, seed+10)
+		tuner, _, err := trainTuner(b, c.engine, c.inst, cat, c.w, seed+10)
 		if err != nil {
 			return out, fmt.Errorf("%s train: %w", c.engine, err)
 		}

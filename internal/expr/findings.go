@@ -35,7 +35,7 @@ func Findings(b Budget) (Table, error) {
 
 	for wi, w := range []workload.Workload{workload.SysbenchRO(), workload.SysbenchWO(), workload.SysbenchRW()} {
 		seed := b.Seed + int64(14000+wi*29)
-		tuner, _, err := trainTuner(b, knobs.EngineCDB, simdb.CDBA, cat, []workload.Workload{w}, seed)
+		tuner, _, err := trainTuner(b, knobs.EngineCDB, simdb.CDBA, cat, w, seed)
 		if err != nil {
 			return t, err
 		}
@@ -68,7 +68,7 @@ func ExtYCSBVariants(b Budget) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		tuner, _, err := trainTuner(b, knobs.EngineMongoDB, simdb.CDBE, cat, []workload.Workload{w}, seed+10)
+		tuner, _, err := trainTuner(b, knobs.EngineMongoDB, simdb.CDBE, cat, w, seed+10)
 		if err != nil {
 			return t, err
 		}

@@ -53,13 +53,12 @@ func warmConfig(b Budget, cat *knobs.Catalog, inst simdb.Instance) core.Config {
 }
 
 // trainTuner offline-trains a CDBTune model with the default-configuration
-// warm start on the given workloads (cycled across episodes) against the
-// given instance. The paper trains every configuration to convergence;
-// train scales the episode budget with the knob count so the 266-knob
-// models are not starved.
-func trainTuner(b Budget, engine knobs.Engine, inst simdb.Instance, cat *knobs.Catalog, ws []workload.Workload, seedBase int64) (*core.Tuner, core.TrainReport, error) {
+// warm start on the given workload against the given instance. The paper
+// trains every configuration to convergence; train scales the episode
+// budget with the knob count so the 266-knob models are not starved.
+func trainTuner(b Budget, engine knobs.Engine, inst simdb.Instance, cat *knobs.Catalog, w workload.Workload, seedBase int64) (*core.Tuner, core.TrainReport, error) {
 	return train(b, warmConfig(b, cat, inst), func(ep int) *env.Env {
-		return newEnv(engine, inst, cat, ws[ep%len(ws)], seedBase+int64(ep))
+		return newEnv(engine, inst, cat, w, seedBase+int64(ep))
 	})
 }
 

@@ -81,7 +81,7 @@ func KnobSweep(b Budget, order KnobOrder, counts []int) (Figure, Figure, Figure,
 
 		// CDBTune trained on the subset; for the DBA and OtterTune
 		// orderings, those tools restricted to the subset too.
-		model, rep, err := trainTuner(b, knobs.EngineCDB, simdb.CDBB, sub, []workload.Workload{w}, seed)
+		model, rep, err := trainTuner(b, knobs.EngineCDB, simdb.CDBB, sub, w, seed)
 		if err != nil {
 			return tputFig, latFig, iterFig, err
 		}
@@ -127,7 +127,7 @@ func Fig5(b Budget, maxSteps int) ([]Figure, error) {
 	var figs []Figure
 	for wi, w := range []workload.Workload{workload.SysbenchRW(), workload.SysbenchRO(), workload.SysbenchWO()} {
 		seed := b.Seed + int64(4500+wi*41)
-		tuner, _, err := trainTuner(b, knobs.EngineCDB, simdb.CDBA, cat, []workload.Workload{w}, seed)
+		tuner, _, err := trainTuner(b, knobs.EngineCDB, simdb.CDBA, cat, w, seed)
 		if err != nil {
 			return nil, err
 		}

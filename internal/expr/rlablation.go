@@ -111,7 +111,7 @@ func QLearnDQN(b Budget, episodes int) (Table, error) {
 	})
 
 	// DDPG on the same subset: continuous actions, no enumeration.
-	tuner, _, err := trainTuner(b, knobs.EngineCDB, simdb.CDBA, cat, []workload.Workload{w}, b.Seed+11000)
+	tuner, _, err := trainTuner(b, knobs.EngineCDB, simdb.CDBA, cat, w, b.Seed+11000)
 	if err != nil {
 		return t, err
 	}

@@ -38,7 +38,7 @@ func TimelineTelemetry(b Budget) ([]Table, Figure, error) {
 
 	// Train the serving model on the stationary base profile — the
 	// workload the tenant looked like before the day started.
-	tuner, _, err := trainTuner(b, knobs.EngineCDB, inst, cat, []workload.Workload{base}, b.Seed)
+	tuner, _, err := trainTuner(b, knobs.EngineCDB, inst, cat, base, b.Seed)
 	if err != nil {
 		return nil, fig, err
 	}

@@ -243,8 +243,8 @@ func (n *Network) TakeState(ts [][]float64) (*NetworkState, [][]float64, error) 
 //	"CDBM" | u32 version | u32 N | N × ( u32 len | len × IEEE-754 bits )
 //
 // What the tensors mean is the writer's business (Network.Tensors order
-// for a network; ddpg.Agent.Save concatenates four networks and the
-// best-action target). Values round-trip bit-exactly.
+// for a network; a ddpg policy or four-network image, see the ddpg package
+// doc). Values round-trip bit-exactly.
 const (
 	tensorMagic   = "CDBM"
 	tensorVersion = 1

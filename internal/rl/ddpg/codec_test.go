@@ -3,11 +3,15 @@ package ddpg
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
+	"cdbtune/internal/nn"
 	"cdbtune/internal/rl"
 )
 
@@ -67,9 +71,38 @@ func trainedAgent(t testing.TB) *Agent {
 	return a
 }
 
-// TestSaveLoadBitExact: every weight, BatchNorm statistic and best-action
-// value survives Save → Load bit for bit (what gob gave), through both
-// writers of the format, and the file is 8 bytes a value plus framing.
+// sameState reports whether two network states hold bit-identical values.
+func sameState(a, b *nn.NetworkState) bool {
+	return sameBits(&WeightSnapshot{nets: []*nn.NetworkState{a}}, &WeightSnapshot{nets: []*nn.NetworkState{b}})
+}
+
+// policyOf is the snapshot of s's policy alone — actor, critic and
+// best-action target — whose Save writes the layout Agent.Save does.
+func policyOf(s *WeightSnapshot) *WeightSnapshot {
+	return &WeightSnapshot{nets: []*nn.NetworkState{s.nets[0], s.nets[2]}, bcTarget: s.bcTarget}
+}
+
+// withOnlineTargets is s with each target network replaced by its online
+// network: the four-network image of Algorithm 1's initial targets.
+func withOnlineTargets(s *WeightSnapshot) *WeightSnapshot {
+	return &WeightSnapshot{nets: []*nn.NetworkState{s.nets[0], s.nets[0], s.nets[2], s.nets[2]}, bcTarget: s.bcTarget}
+}
+
+// encode returns what save writes.
+func encode(t testing.TB, save func(io.Writer) error) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSaveLoadBitExact: every actor and critic weight, BatchNorm statistic
+// and best-action value survives Save → Load bit for bit (what gob gave),
+// through both writers of the policy layout; the file is 8 bytes a value
+// of the two networks plus framing, and the loaded targets start as the
+// online networks.
 func TestSaveLoadBitExact(t *testing.T) {
 	src := trainedAgent(t)
 	// Values a lossy float path would normalize: −0 and a denormal.
@@ -77,52 +110,136 @@ func TestSaveLoadBitExact(t *testing.T) {
 	w[0], w[1] = math.Copysign(0, -1), math.Float64frombits(1)
 	want := src.Snapshot()
 
-	var fromAgent, fromSnap bytes.Buffer
-	if err := src.Save(&fromAgent); err != nil {
-		t.Fatal(err)
-	}
-	if err := want.Save(&fromSnap); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fromAgent.Bytes(), fromSnap.Bytes()) {
-		t.Fatal("Agent.Save and WeightSnapshot.Save wrote different bytes for the same weights")
+	fromAgent := encode(t, src.Save)
+	if !bytes.Equal(fromAgent, encode(t, policyOf(want).Save)) {
+		t.Fatal("Agent.Save and WeightSnapshot.Save wrote different bytes for the same policy")
 	}
 	var values, tensors int
-	for _, st := range want.nets {
+	for _, st := range policyOf(want).nets {
 		for _, ts := range st.Tensors() {
 			values, tensors = values+len(ts), tensors+1
 		}
 	}
 	values, tensors = values+len(want.bcTarget), tensors+1
-	if got := fromAgent.Len(); got != 12+4*tensors+8*values {
+	if got := len(fromAgent); got != 12+4*tensors+8*values {
 		t.Fatalf("model is %d bytes for %d values in %d tensors", got, values, tensors)
 	}
 
 	dst := New(src.Config())
-	if err := dst.Load(bytes.NewReader(fromAgent.Bytes())); err != nil {
+	if err := dst.Load(bytes.NewReader(fromAgent)); err != nil {
 		t.Fatal(err)
 	}
-	if !sameBits(dst.Snapshot(), want) {
-		t.Fatal("loaded weights are not bit-identical to the saved ones")
+	if !sameBits(dst.Snapshot(), withOnlineTargets(want)) {
+		t.Fatal("loaded policy is not bit-identical to the saved one, or its targets are not the online networks")
+	}
+}
+
+// TestFourNetworkImageLoads: the image a checkpoint holds — and every model
+// written before Save dropped the targets — loads bit for bit, targets
+// included, to the same online weights as the policy image of the same
+// agent.
+func TestFourNetworkImageLoads(t *testing.T) {
+	src := trainedAgent(t)
+	want := src.Snapshot()
+	if sameState(want.nets[0], want.nets[1]) || sameState(want.nets[2], want.nets[3]) {
+		t.Fatal("fixture's targets equal its online networks: the test could not tell the layouts apart")
+	}
+	four, policy := New(src.Config()), New(src.Config())
+	if err := four.Load(bytes.NewReader(encode(t, want.Save))); err != nil {
+		t.Fatal(err)
+	}
+	if err := policy.Load(bytes.NewReader(encode(t, src.Save))); err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(four.Snapshot(), want) {
+		t.Fatal("a four-network image did not load bit for bit")
+	}
+	if !sameBits(policyOf(four.Snapshot()), policyOf(policy.Snapshot())) {
+		t.Fatal("the two layouts of one agent loaded different online weights")
+	}
+}
+
+// TestPolicyLoadTrainsLikeOnlineTargets: after a policy Load, the first
+// update is bit-identical to that of an agent whose four-network image
+// carried targets equal to its online networks.
+func TestPolicyLoadTrainsLikeOnlineTargets(t *testing.T) {
+	src := trainedAgent(t)
+	snap := src.Snapshot()
+	viaPolicy, viaFour := New(src.Config()), New(src.Config())
+	if err := viaPolicy.Load(bytes.NewReader(encode(t, src.Save))); err != nil {
+		t.Fatal(err)
+	}
+	if err := viaFour.Load(bytes.NewReader(encode(t, withOnlineTargets(snap).Save))); err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []*Agent{viaPolicy, viaFour} {
+		rng := rand.New(rand.NewSource(11))
+		for i := 0; i < 16; i++ {
+			a.Observe(rl.Transition{
+				State:     randUnitSlice(rng, a.cfg.StateDim),
+				Action:    randUnitSlice(rng, a.cfg.ActionDim),
+				Reward:    rng.NormFloat64(),
+				NextState: randUnitSlice(rng, a.cfg.StateDim),
+			})
+		}
+	}
+	p, pok := viaPolicy.TrainStepInfo()
+	f, fok := viaFour.TrainStepInfo()
+	if !pok || !fok || p != f {
+		t.Fatalf("first update after a policy Load %+v (ok %v), after the four-network image %+v (ok %v)", p, pok, f, fok)
+	}
+	if !sameBits(viaPolicy.Snapshot(), viaFour.Snapshot()) {
+		t.Fatal("the first update left different weights")
+	}
+	if sameBits(viaPolicy.Snapshot(), withOnlineTargets(snap)) {
+		t.Fatal("the update moved nothing: the test compared two untrained agents")
+	}
+}
+
+// TestLoadRejectsCountOfNeitherLayout: a tensor count one off either
+// layout, with or without the best-action target, is an error that names
+// the counts, and the agent — a pending one too — is left untouched.
+func TestLoadRejectsCountOfNeitherLayout(t *testing.T) {
+	src := trainedAgent(t)
+	four, err := nn.ReadTensors(bytes.NewReader(encode(t, src.Snapshot().Save)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := (len(four) - 1) / 2 // the image carries a best-action target
+	extra := append(append([][]float64(nil), four...), four[0])
+	dst := New(src.Config())
+	for _, n := range []int{p - 1, p + 2, 2*p - 1, 2*p + 2} {
+		pending := New(src.Config())
+		before := dst.Snapshot()
+		model := encode(t, func(w io.Writer) error { return nn.WriteTensors(w, extra[:n]) })
+		for _, a := range []*Agent{dst, pending} {
+			err := a.Load(bytes.NewReader(model))
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d tensors", n)) {
+				t.Fatalf("%d tensors (policy %d): got error %v, want one naming the count", n, p, err)
+			}
+		}
+		if !sameBits(dst.Snapshot(), before) {
+			t.Fatalf("rejected %d-tensor model modified the agent", n)
+		}
+		if !pending.pending {
+			t.Fatalf("rejected %d-tensor model settled a pending init", n)
+		}
 	}
 }
 
 // TestSetWeightsKeepsMomentsRestoreResetsThem pins the split the two
 // callers rely on: core's best-policy restore (SetWeights) behaves exactly
-// like Load — Adam moments survive, so the next update is the one a
-// Save/Load round trip would have produced — while the supervisor's
-// divergence rollback (Restore) clears them, so its next update differs.
+// like Load of the same four-network image — Adam moments survive, so the
+// next update is the one a round trip through the codec would have
+// produced — while the supervisor's divergence rollback (Restore) clears
+// them, so its next update differs.
 func TestSetWeightsKeepsMomentsRestoreResetsThem(t *testing.T) {
 	viaLoad, viaSet, viaRestore := trainedAgent(t), trainedAgent(t), trainedAgent(t)
 	snap := viaLoad.Snapshot()
 	if !sameBits(snap, viaSet.Snapshot()) || !sameBits(snap, viaRestore.Snapshot()) {
 		t.Fatal("twin agents diverged before the test began")
 	}
-	var buf bytes.Buffer
-	if err := viaLoad.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := viaLoad.Load(&buf); err != nil {
+	if err := viaLoad.Load(bytes.NewReader(encode(t, snap.Save))); err != nil {
 		t.Fatal(err)
 	}
 	if err := viaSet.SetWeights(snap); err != nil {
@@ -154,12 +271,21 @@ func TestSetWeightsKeepsMomentsRestoreResetsThem(t *testing.T) {
 // weights untouched whenever it returns an error.
 func FuzzAgentLoad(f *testing.F) {
 	src := trainedAgent(f)
-	var model bytes.Buffer
-	if err := src.Save(&model); err != nil {
-		f.Fatal(err)
-	}
-	good := model.Bytes()
+	good := encode(f, src.Save)
 	f.Add(good)
+	// The four-network image, and tensor lists one tensor short of and one
+	// past each layout (both images carry the best-action target).
+	four := encode(f, src.Snapshot().Save)
+	f.Add(four)
+	for _, model := range [][]byte{good, four} {
+		ts, err := nn.ReadTensors(bytes.NewReader(model))
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, off := range [][][]float64{ts[:len(ts)-2], append(ts, ts[0])} {
+			f.Add(encode(f, func(w io.Writer) error { return nn.WriteTensors(w, off) }))
+		}
+	}
 	for _, n := range []int{0, 3, 11, 12, 16, len(good) / 2, len(good) - 1} {
 		f.Add(good[:n])
 	}
@@ -197,9 +323,10 @@ func FuzzAgentLoad(f *testing.F) {
 			t.Fatalf("failed Load (%v) modified the agent", err)
 		}
 		if err == nil {
-			var again bytes.Buffer
-			if serr := dst.Save(&again); serr != nil || !bytes.Equal(again.Bytes(), data) {
-				t.Fatalf("accepted model does not re-encode to its own bytes (save error: %v)", serr)
+			// A policy re-encodes through Agent.Save, a four-network image
+			// through its Snapshot.
+			if !bytes.Equal(encode(t, dst.Save), data) && !bytes.Equal(encode(t, dst.Snapshot().Save), data) {
+				t.Fatal("accepted model does not re-encode to its own bytes")
 			}
 		}
 		// The same bytes into an agent whose random init is still pending.

@@ -622,21 +622,19 @@ func (a *Agent) QValue(state, action []float64) float64 {
 	return a.critic.forward(s, act, false).Data[0]
 }
 
-// Save serializes actor, critic, their targets, and the remembered best
+// Save serializes the policy — actor, critic and the remembered best
 // configuration (the self-imitation target that also seeds online
-// recommendations) as one nn tensor list: the four networks in networks()
-// order, then the target when there is one.
+// recommendations) — as one nn tensor list, in that order. The targets
+// are training state: Load starts them as the online networks, as
+// Algorithm 1's init does, and a checkpoint saves a Snapshot instead.
 func (a *Agent) Save(w io.Writer) error {
 	a.ensureInit()
-	var ts [][]float64
-	for _, n := range a.networks() {
-		ts = append(ts, n.Tensors()...)
-	}
-	return writeModel(w, ts, a.bcTarget)
+	return writeModel(w, append(a.actor.Tensors(), a.critic.net().Tensors()...), a.bcTarget)
 }
 
-// Save serializes the snapshot in the format Agent.Save writes, so either
-// loads through Agent.Load or Agent.ReadSnapshot.
+// Save serializes the snapshot with all four networks, in networks()
+// order, then the best-action target — the training image checkpoints
+// keep. It loads through Agent.Load or Agent.ReadSnapshot.
 func (s *WeightSnapshot) Save(w io.Writer) error {
 	var ts [][]float64
 	for _, st := range s.nets {
@@ -655,51 +653,63 @@ func writeModel(w io.Writer, nets [][]float64, bcTarget []float64) error {
 	return nil
 }
 
-// netNames labels the networks in Save/Load order for error messages.
+// netNames labels the networks in networks() order for error messages.
 var netNames = [...]string{"actor", "actor target", "critic", "critic target"}
 
-// ReadSnapshot decodes a model written by Save and validates it against
-// this agent without touching it: each network's layer dimensions must
-// match the architecture Config builds, every weight and BatchNorm
-// statistic must be finite, and a stored self-imitation target must fit
-// ActionDim.
+// ReadSnapshot decodes a policy (Agent.Save) or four-network image
+// (WeightSnapshot.Save), a policy's targets sharing its actor's and
+// critic's states, and validates it against this agent without touching
+// it: each network's layer dimensions must match the architecture Config
+// builds, every weight and BatchNorm statistic must be finite, and a
+// stored self-imitation target must fit ActionDim.
 func (a *Agent) ReadSnapshot(r io.Reader) (*WeightSnapshot, error) {
 	ts, err := nn.ReadTensors(r)
 	if err != nil {
 		return nil, fmt.Errorf("ddpg: load: %w", err)
 	}
-	s := &WeightSnapshot{}
-	for i, n := range a.networks() {
-		st, rest, err := n.TakeState(ts)
-		if err != nil {
-			return nil, fmt.Errorf("ddpg: load %s: model does not match Config: %w", netNames[i], err)
-		}
-		s.nets, ts = append(s.nets, st), rest
-	}
+	// The tensor count tells the layouts apart: the policy's P = A+C tensors
+	// or the four networks' 2P, each +1 with a best-action target; 2P > P+1.
+	p := len(a.actor.Tensors()) + len(a.critic.net().Tensors())
+	held := []int{0, 2} // indices into networks()
 	switch len(ts) {
-	case 0:
-	case 1:
-		s.bcTarget = ts[0]
+	case p, p + 1:
+	case 2 * p, 2*p + 1:
+		held = []int{0, 1, 2, 3}
 	default:
-		return nil, fmt.Errorf("ddpg: load: %d tensors after the best-action target", len(ts)-1)
+		return nil, fmt.Errorf("ddpg: load: model does not match Config: %d tensors, want %d or %d (policy) or %d or %d (four networks)", len(ts), p, p+1, 2*p, 2*p+1)
+	}
+	nets, s := a.networks(), &WeightSnapshot{nets: make([]*nn.NetworkState, 4)}
+	for _, i := range held {
+		s.nets[i], ts, _ = nets[i].TakeState(ts) // the count is checked above
+	}
+	if len(held) == 2 {
+		s.nets[1], s.nets[3] = s.nets[0], s.nets[2]
+	}
+	if len(ts) == 1 {
+		s.bcTarget = ts[0]
 	}
 	if err := a.checkSnapshot(s); err != nil {
 		return nil, fmt.Errorf("ddpg: load: model does not match Config (state %d, action %d): %w",
 			a.cfg.StateDim, a.cfg.ActionDim, err)
 	}
+	for _, i := range held { // each decoded network once, however many slots share it
+		if err := s.nets[i].Finite(); err != nil {
+			return nil, fmt.Errorf("ddpg: load: corrupt model: %s: %w", netNames[i], err)
+		}
+	}
+	s.netsFinite = true // set before anyone else can read s
 	if err := s.Finite(); err != nil {
 		return nil, fmt.Errorf("ddpg: load: corrupt model: %w", err)
 	}
-	s.netsFinite = true // set before anyone else can read s
 	return s, nil
 }
 
-// Load restores state previously written by Save into an agent built with
-// the same Config. Everything is decoded and validated (see ReadSnapshot)
-// before any weight is touched: a corrupt or mismatched model is rejected
-// with a descriptive error and the agent is left exactly as it was — a
-// pending init included. The decoded tensors become the live weights
-// (SetWeights). The optimizers' moments are not reset.
+// Load restores a model written by Save or WeightSnapshot.Save into an
+// agent built with the same Config. Everything is decoded and validated
+// (see ReadSnapshot) before any weight is touched: a corrupt or mismatched
+// model is rejected with a descriptive error and the agent is left exactly
+// as it was — a pending init included. The decoded tensors become the live
+// weights (SetWeights). The optimizers' moments are not reset.
 func (a *Agent) Load(r io.Reader) error {
 	s, err := a.ReadSnapshot(r)
 	if err != nil {

@@ -5,6 +5,14 @@
 // configuration, trained from the experience-replay memory pool with soft
 // target networks.
 //
+// # Two model layouts
+//
+// Agent.Save writes the policy: actor, critic, then the best-action
+// target. WeightSnapshot.Save writes all four networks (actor, actor
+// target, critic, critic target), the training image checkpoints keep.
+// ReadSnapshot tells them apart by tensor count (2(A+C) > A+C+1) and
+// starts a policy's targets as its actor and critic, sharing their states.
+//
 // # Concurrency contract
 //
 // An Agent is not internally synchronized. Callers that share one agent

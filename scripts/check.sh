@@ -138,6 +138,30 @@ if go run ./cmd/cdbtune benchmark -config cmd/cdbtune/testdata/small.cnf 2>/dev/
     exit 1
 fi
 
+echo "== model round trip =="
+# The CLI's model path end to end, both layouts: train writes the policy
+# (-model) and a checkpoint with all four networks, the resumed run loads
+# the checkpoint, and tune loads the policy.
+model_tmp="$(mktemp -d)"
+trap 'rm -rf "$model_tmp"' EXIT
+go build -o "$model_tmp/cdbtune" ./cmd/cdbtune
+start="$(date +%s%N)"
+"$model_tmp/cdbtune" train -episodes 2 -quiet -model "$model_tmp/m.bin" \
+    -checkpoint "$model_tmp/c.ckpt" -checkpoint-every 1 >/dev/null
+resumed="$("$model_tmp/cdbtune" train -episodes 3 -quiet -resume -model "$model_tmp/m.bin" \
+    -checkpoint "$model_tmp/c.ckpt" -checkpoint-every 1)"
+case "$resumed" in
+*"resumed from"*) ;;
+*)
+    echo "cdbtune train -resume did not resume from its checkpoint" >&2
+    exit 1
+    ;;
+esac
+"$model_tmp/cdbtune" tune -model "$model_tmp/m.bin" -steps 2 >/dev/null
+echo "train, resume and tune took $((($(date +%s%N) - start) / 1000000)) ms"
+rm -rf "$model_tmp"
+trap - EXIT
+
 echo "== fleet smoke =="
 # The multi-process robustness scenario: 3 serve processes, 50 tenants,
 # one SIGKILL and one lease stall mid-run; must end with zero lost jobs,
